@@ -13,8 +13,8 @@ from .field import (Grid, GriddedDensity, WaveField, evaluate_at,
                     free_propagator, gaussian_field, l2_norm, load_field_bin,
                     load_field_csv, lp_project, random_field, save_field_bin,
                     save_field_csv, sobolev_norm, sup_norm)
-from .measure import (Measure, WeightProfile, block_norm, chi, interval_mass,
-                      nk_squared, weight, weight_profile, weighted_l2_norm)
+from .measure import (WeightProfile, block_norm, chi, interval_mass, nk_squared,
+                      weight, weight_profile, weighted_l2_norm)
 from .mollify import (VARIANTS, check_resolution, mollified_density,
                       truncated_potential)
 from .point_process import (AtomicMeasure, TestFunction,
@@ -26,8 +26,7 @@ from .point_process import (AtomicMeasure, TestFunction,
                             save_atoms_csv, save_atoms_json, smoothed_indicator)
 from .rng import generator, substream, substream_seed
 from .solver import (SolverParams, Trajectory, evolve, evolve_regularized,
-                     nonlinear_step, oracle_evolve, save_run_manifest,
-                     save_snapshots, save_trajectory_csv, strang_step)
+                     oracle_evolve, save_snapshots, save_trajectory_csv)
 from .studies import (StudyReport, eps_convergence_study, laplace_study,
                       moment_study, save_report_csv, save_report_json,
                       stability_study)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bump import cutoff
 from .field import GriddedDensity, WaveField, evaluate_at, l2_norm
-from .measure import _as_measure
+from .point_process import AtomicMeasure
 
 __all__ = [
     "mass",
@@ -45,9 +45,9 @@ def kinetic_energy(f: WaveField) -> float:
 def energy(f: WaveField, potential) -> float:
     """Kinetic part plus (1/2) int |psi|^4 against the interaction term.
 
-    ``potential`` may be a gridded density (mollified route) or any measure
-    accepted by the sampling layer, in which case the quartic term is the
-    exact atom sum that the mollified integrals converge to.
+    ``potential`` may be a gridded density (mollified route) or an atomic
+    measure, in which case the quartic term is the exact atom sum that the
+    mollified integrals converge to.
     """
     if isinstance(potential, GriddedDensity):
         v = f.values
@@ -57,21 +57,15 @@ def energy(f: WaveField, potential) -> float:
     return atomic_energy(f, potential)
 
 
-def quartic_measure_integral(f: WaveField, mu) -> float:
-    """int |f|^4 dmu: exact atom sum plus grid quadrature of the density part."""
-    m = _as_measure(mu)
-    total = 0.0
-    if m.atoms is not None and m.atoms.count:
-        vals = evaluate_at(f, m.atoms.positions)
-        total += float(np.dot(m.atoms.masses, np.abs(vals) ** 4))
-    if m.density is not None:
-        v = f.values
-        dens2 = v.real**2 + v.imag**2
-        total += float(np.sum(dens2 * dens2 * m.density.values) * f.grid.dx)
-    return total
+def quartic_measure_integral(f: WaveField, mu: AtomicMeasure) -> float:
+    """int |f|^4 dmu as the exact atom sum."""
+    if not mu.count:
+        return 0.0
+    vals = evaluate_at(f, mu.positions)
+    return float(np.dot(mu.masses, np.abs(vals) ** 4))
 
 
-def atomic_energy(f: WaveField, mu) -> float:
+def atomic_energy(f: WaveField, mu: AtomicMeasure) -> float:
     """Energy with the interaction taken against the measure itself."""
     return kinetic_energy(f) + 0.5 * quartic_measure_integral(f, mu)
 

@@ -33,7 +33,6 @@ __all__ = [
     "load_field_csv",
     "save_field_bin",
     "load_field_bin",
-    "save_density_csv",
     "FLOAT_FMT",
 ]
 
@@ -237,15 +236,11 @@ def load_field_bin(path) -> WaveField:
         magic = fh.read(8)
         if magic != _BIN_MAGIC:
             raise ValueError("not a field binary file")
-        (half_length,) = struct.unpack("<d", fh.read(8))
-        (n,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"field binary file {path} ends inside its header")
+        half_length, n = struct.unpack("<dQ", header)
         raw = fh.read(16 * n)
     values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     return WaveField(Grid(half_length, int(n)), values)
 
-
-def save_density_csv(d: GriddedDensity, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(d.grid.x, d.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")

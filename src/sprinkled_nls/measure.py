@@ -1,4 +1,4 @@
-"""Locally finite measures and the slowly varying weight built from them.
+"""The slowly varying weight built from an atomic measure.
 
 The weight machinery discretizes the measure into unit-interval masses
 mu(I_k), I_k = [k-1/2, k+1/2), and forms
@@ -22,11 +22,10 @@ from typing import Iterable
 import numpy as np
 
 from .bump import raw_bump
-from .field import FLOAT_FMT, Grid, GriddedDensity, WaveField
+from .field import Grid, WaveField
 from .point_process import AtomicMeasure
 
 __all__ = [
-    "Measure",
     "WeightProfile",
     "interval_mass",
     "weight_profile",
@@ -42,69 +41,11 @@ __all__ = [
 BASELINE_NK_SQUARED = 4.0
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Atomic part plus optional absolutely continuous part on a grid."""
-
-    atoms: AtomicMeasure | None = None
-    density: GriddedDensity | None = None
-
-    def __post_init__(self):
-        if self.atoms is None and self.density is None:
-            raise ValueError("measure needs an atomic or a density part")
-
-    @property
-    def window(self) -> tuple[float, float]:
-        if self.atoms is not None:
-            return self.atoms.window
-        g = self.density.grid
-        return (-g.half_length, g.half_length)
-
-    def total_mass(self) -> float:
-        total = 0.0
-        if self.atoms is not None:
-            total += self.atoms.total_mass()
-        if self.density is not None:
-            total += self.density.integral()
-        return total
-
-
-def _as_measure(mu) -> Measure:
-    if isinstance(mu, Measure):
-        return mu
-    if isinstance(mu, AtomicMeasure):
-        return Measure(atoms=mu)
-    raise TypeError("expected Measure or AtomicMeasure")
-
-
-def _density_interval_mass(d: GriddedDensity, lo: float, hi: float) -> float:
-    """Trapezoid of the density over [lo, hi] with interpolated endpoints."""
-    g = d.grid
-    lo = max(lo, -g.half_length)
-    hi = min(hi, g.x[-1])
-    if hi <= lo:
-        return 0.0
-    i0 = int(np.ceil((lo + g.half_length) / g.dx - 1e-12))
-    i1 = int(np.floor((hi + g.half_length) / g.dx + 1e-12))
-    v_lo = float(np.interp(lo, g.x, d.values))
-    v_hi = float(np.interp(hi, g.x, d.values))
-    nodes = [lo, *g.x[i0:i1 + 1], hi]
-    vals = [v_lo, *d.values[i0:i1 + 1], v_hi]
-    return float(np.trapezoid(vals, nodes))
-
-
-def interval_mass(mu, k: int) -> float:
+def interval_mass(mu: AtomicMeasure, k: int) -> float:
     """mu(I_k) with I_k = [k-1/2, k+1/2); atoms on the right edge belong to
     the next interval."""
-    m = _as_measure(mu)
-    total = 0.0
-    if m.atoms is not None:
-        pos = m.atoms.positions
-        inside = (pos >= k - 0.5) & (pos < k + 0.5)
-        total += float(np.sum(m.atoms.masses[inside]))
-    if m.density is not None:
-        total += _density_interval_mass(m.density, k - 0.5, k + 0.5)
-    return total
+    inside = (mu.positions >= k - 0.5) & (mu.positions < k + 0.5)
+    return float(np.sum(mu.masses[inside]))
 
 
 @dataclass(frozen=True)
@@ -147,36 +88,27 @@ class WeightProfile:
         return left + frac * (right - left)
 
 
-def _occupied_interval_masses(m: Measure) -> tuple[np.ndarray, np.ndarray]:
+def _occupied_interval_masses(mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Indices and masses of unit intervals carrying positive mass."""
     masses: dict[int, float] = {}
-    if m.atoms is not None and m.atoms.count:
-        ls = np.floor(m.atoms.positions + 0.5).astype(np.int64)
-        for l, mass in zip(ls, m.atoms.masses):
-            masses[int(l)] = masses.get(int(l), 0.0) + float(mass)
-    if m.density is not None:
-        g = m.density.grid
-        l_lo = int(np.floor(-g.half_length + 0.5))
-        l_hi = int(np.ceil(g.half_length + 0.5))
-        for l in range(l_lo, l_hi + 1):
-            dm = _density_interval_mass(m.density, l - 0.5, l + 0.5)
-            if dm > 0:
-                masses[l] = masses.get(l, 0.0) + dm
+    ls = np.floor(mu.positions + 0.5).astype(np.int64)
+    for l, mass in zip(ls, mu.masses):
+        masses[int(l)] = masses.get(int(l), 0.0) + float(mass)
     if not masses:
         return np.empty(0, dtype=np.int64), np.empty(0)
     ls = np.array(sorted(masses), dtype=np.int64)
     return ls, np.array([masses[int(l)] for l in ls])
 
 
-def weight_profile(mu) -> WeightProfile:
+def weight_profile(mu: AtomicMeasure) -> WeightProfile:
     """Compute N_k^2 over the window plus a margin that provably reaches 4."""
-    m = _as_measure(mu)
-    ls, lmass = _occupied_interval_masses(m)
-    a, b = m.window
+    ls, lmass = _occupied_interval_masses(mu)
+    a, b = mu.window
     if ls.size == 0:
         k_start = int(np.floor(a))
         ks = np.arange(k_start, int(np.ceil(b)) + 1)
-        return WeightProfile(k_start, np.full(ks.size, BASELINE_NK_SQUARED), m.window)
+        return WeightProfile(k_start, np.full(ks.size, BASELINE_NK_SQUARED),
+                             mu.window)
     margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + np.max(lmass) ** 2))
     k_start = int(min(np.floor(a), ls.min())) - margin
     k_end = int(max(np.ceil(b), ls.max())) + margin
@@ -184,15 +116,15 @@ def weight_profile(mu) -> WeightProfile:
     # sup over occupied intervals of mass^2 - |k - l|, floored at 0
     contrib = lmass[None, :] ** 2 - np.abs(ks[:, None] - ls[None, :])
     sup = np.maximum(0.0, contrib.max(axis=1))
-    return WeightProfile(k_start, BASELINE_NK_SQUARED + sup, m.window)
+    return WeightProfile(k_start, BASELINE_NK_SQUARED + sup, mu.window)
 
 
-def nk_squared(mu, k) -> np.ndarray:
+def nk_squared(mu: AtomicMeasure, k) -> np.ndarray:
     """N_k^2 directly from a measure (convenience wrapper)."""
     return weight_profile(mu).nk_squared(k)
 
 
-def weight(mu, x) -> np.ndarray:
+def weight(mu: AtomicMeasure, x) -> np.ndarray:
     """w(x) directly from a measure (convenience wrapper)."""
     return weight_profile(mu).weight(x)
 
@@ -233,7 +165,8 @@ def _auto_refinement(n: int) -> int:
     return max(1, min(32, (1 << 17) // n))
 
 
-def weighted_l2_norm(f: WaveField, mu, *, profile: WeightProfile | None = None,
+def weighted_l2_norm(f: WaveField, mu: AtomicMeasure, *,
+                     profile: WeightProfile | None = None,
                      refinement: int | None = None) -> float:
     """Weighted norm ( int |f|^2 w(x; mu) dx )^(1/2) by periodic trapezoid.
 
@@ -251,7 +184,8 @@ def weighted_l2_norm(f: WaveField, mu, *, profile: WeightProfile | None = None,
     return float(np.sqrt(np.sum(dens * w) * (f.grid.dx / r)))
 
 
-def block_norm(f: WaveField, mu, *, profile: WeightProfile | None = None,
+def block_norm(f: WaveField, mu: AtomicMeasure, *,
+               profile: WeightProfile | None = None,
                ks: Iterable[int] | None = None) -> float:
     """( sum_k N_k^2 ||chi_k f||_{L^2}^2 )^(1/2) over the window (plus margin)."""
     if profile is None:

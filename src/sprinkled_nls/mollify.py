@@ -15,7 +15,7 @@ import numpy as np
 from .bump import bump, cutoff
 from .errors import ResolutionError
 from .field import Grid, GriddedDensity
-from .measure import _as_measure
+from .point_process import AtomicMeasure
 
 __all__ = [
     "VARIANTS",
@@ -43,39 +43,28 @@ def check_resolution(grid: Grid, eps: float) -> None:
             "refine the grid or increase eps")
 
 
-def mollified_density(mu, grid: Grid, eps: float) -> GriddedDensity:
-    """Width-eps mollification of a measure, sampled on the grid.
-
-    Atomic part: per-atom deposition of the sampled bump kernel, renormalized
-    to the atom's exact mass.  Density part (if any): spectral convolution
-    with the same discrete kernel.
-    """
-    m = _as_measure(mu)
+def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensity:
+    """Width-eps mollification of an atomic measure, sampled on the grid:
+    per-atom deposition of the sampled bump kernel, renormalized to the
+    atom's exact mass."""
     check_resolution(grid, eps)
     values = np.zeros(grid.n)
-    if m.atoms is not None and m.atoms.count:
-        L, dx, n = grid.half_length, grid.dx, grid.n
-        for y, mass in zip(m.atoms.positions, m.atoms.masses):
-            i0 = max(0, int(np.ceil((y - eps + L) / dx)))
-            i1 = min(n - 1, int(np.floor((y + eps + L) / dx)))
-            if i1 < i0:
-                continue
-            xs = -L + dx * np.arange(i0, i1 + 1)
-            k = bump((xs - y) / eps) / eps
-            s = k.sum() * dx
-            if s <= 0.0:
-                continue
-            values[i0:i1 + 1] += (mass / s) * k
-    if m.density is not None:
-        if m.density.grid != grid:
-            raise ValueError("density part must live on the target grid")
-        k = bump(grid.x / eps) / eps
-        khat = np.fft.fft(np.fft.ifftshift(k / k.sum()))
-        values += np.real(np.fft.ifft(np.fft.fft(m.density.values) * khat))
+    L, dx, n = grid.half_length, grid.dx, grid.n
+    for y, mass in zip(mu.positions, mu.masses):
+        i0 = max(0, int(np.ceil((y - eps + L) / dx)))
+        i1 = min(n - 1, int(np.floor((y + eps + L) / dx)))
+        if i1 < i0:
+            continue
+        xs = -L + dx * np.arange(i0, i1 + 1)
+        k = bump((xs - y) / eps) / eps
+        s = k.sum() * dx
+        if s <= 0.0:
+            continue
+        values[i0:i1 + 1] += (mass / s) * k
     return GriddedDensity(grid, np.maximum(values, 0.0))
 
 
-def truncated_potential(mu, grid: Grid, eps: float,
+def truncated_potential(mu: AtomicMeasure, grid: Grid, eps: float,
                         variant: str = "fully_truncated") -> GriddedDensity:
     """Potential for the regularized flow; non-negative by construction."""
     if variant not in VARIANTS:

@@ -261,5 +261,7 @@ def save_atoms_json(mu: AtomicMeasure, path) -> None:
 def load_atoms_json(path) -> AtomicMeasure:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not {"window", "atoms"} <= doc.keys():
+        raise ValueError(f'atoms file {path} needs "window" and "atoms" keys')
     atoms = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
     return AtomicMeasure(tuple(doc["window"]), atoms[:, 0], atoms[:, 1])

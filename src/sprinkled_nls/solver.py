@@ -14,9 +14,6 @@ method-of-lines system serves as an independent reference.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import time as _time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -25,19 +22,17 @@ import numpy as np
 from .diagnostics import energy, mass, quartic_measure_integral
 from .errors import BlowUpError, OracleInstabilityError
 from .field import Grid, GriddedDensity, WaveField, l2_norm, save_field_bin, sobolev_norm, sup_norm
-from .measure import WeightProfile, _as_measure, weight_profile, weighted_l2_norm
+from .measure import WeightProfile, weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
+from .point_process import AtomicMeasure
 
 __all__ = [
     "SolverParams",
     "Trajectory",
-    "nonlinear_step",
-    "strang_step",
     "evolve",
     "evolve_regularized",
     "oracle_evolve",
     "save_trajectory_csv",
-    "save_run_manifest",
     "save_snapshots",
 ]
 
@@ -79,21 +74,6 @@ class Trajectory:
     metadata: dict = dc_field(default_factory=dict)
 
 
-def nonlinear_step(f: WaveField, potential: GriddedDensity, dt: float) -> WaveField:
-    """Exact flow of i psi_t = 2 V |psi|^2 psi over time dt."""
-    v = f.values
-    return WaveField(f.grid, v * np.exp(-2j * dt * potential.values * (v.real**2 + v.imag**2)))
-
-
-def strang_step(f: WaveField, potential: GriddedDensity, dt: float) -> WaveField:
-    """Symmetric free/nonlinear/free composition, second order in dt."""
-    half = np.exp(-0.5j * dt * f.grid.xi**2)
-    v = np.fft.ifft(np.fft.fft(f.values) * half)
-    v = v * np.exp(-2j * dt * potential.values * (v.real**2 + v.imag**2))
-    v = np.fft.ifft(np.fft.fft(v) * half)
-    return WaveField(f.grid, v)
-
-
 def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
             potential: GriddedDensity, mu, profile: WeightProfile | None,
             record_quartic: bool) -> WaveField:
@@ -116,7 +96,8 @@ def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
-           *, measure=None, profile: WeightProfile | None = None,
+           *, measure: AtomicMeasure | None = None,
+           profile: WeightProfile | None = None,
            metadata: dict | None = None) -> Trajectory:
     """Strang-split evolution with per-record diagnostics.
 
@@ -154,13 +135,12 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
                       dict(metadata or {}))
 
 
-def evolve_regularized(psi0: WaveField, mu, eps: float, params: SolverParams,
-                       variant: str = "fully_truncated",
+def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
+                       params: SolverParams, variant: str = "fully_truncated",
                        profile: WeightProfile | None = None) -> Trajectory:
-    """Evolution under the width-eps potential built from a measure."""
-    m = _as_measure(mu)
-    potential = truncated_potential(m, psi0.grid, eps, variant)
-    return evolve(psi0, potential, params, measure=m, profile=profile,
+    """Evolution under the width-eps potential built from an atomic measure."""
+    potential = truncated_potential(mu, psi0.grid, eps, variant)
+    return evolve(psi0, potential, params, measure=mu, profile=profile,
                   metadata={"eps": eps, "variant": variant})
 
 
@@ -214,46 +194,6 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(cols) + "\n")
         for i in range(len(traj.times)):
             fh.write(",".join(f"{d[c][i]:.17g}" for c in cols) + "\n")
-
-
-def _content_hash(parts: list[bytes]) -> str:
-    payload = b"\0".join(parts)
-    blob = b"blob %d\0" % len(payload) + payload
-    return hashlib.sha1(blob).hexdigest()
-
-
-def save_run_manifest(traj: Trajectory, path, *, seed: int | None = None,
-                      extra: dict | None = None) -> None:
-    """JSON manifest of a run: parameters, grid, content hash of the inputs,
-    and the only timestamp any output file carries."""
-    first = traj.states[0]
-    params_doc = {
-        "dt": traj.params.dt,
-        "t_final": traj.params.t_final,
-        "record_every": traj.params.record_every,
-    }
-    hash_parts = [
-        json.dumps({"grid": [first.grid.half_length, first.grid.n],
-                    "params": params_doc,
-                    "metadata": {k: repr(v) for k, v in sorted(traj.metadata.items())}},
-                   sort_keys=True).encode(),
-        first.values.astype("<c16").tobytes(),
-    ]
-    doc = {
-        "grid": {"half_length": first.grid.half_length, "n": first.grid.n},
-        "params": params_doc,
-        "metadata": {k: v for k, v in traj.metadata.items()
-                     if isinstance(v, (str, int, float, bool, type(None)))},
-        "seed": seed,
-        "records": len(traj.times),
-        "content_hash": _content_hash(hash_parts),
-        "created_unix": _time.time(),
-    }
-    if extra:
-        doc.update(extra)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def save_snapshots(traj: Trajectory, out_dir) -> list[str]:

@@ -17,9 +17,9 @@ from .concurrency import parallel_map
 from .constants import CALIBRATION
 from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, l2_norm,
                     random_field, sobolev_norm)
-from .measure import _as_measure, weight_profile, weighted_l2_norm
+from .measure import weight_profile, weighted_l2_norm
 from .mollify import VARIANTS, check_resolution
-from .point_process import (bernoulli_laplace_functional,
+from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
                             fixed_count_laplace_functional,
                             poisson_laplace_functional, sample_poisson,
                             smoothed_indicator)
@@ -120,8 +120,8 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def eps_convergence_study(psi0: WaveField, mu, eps_ladder: Sequence[float],
-                          params: SolverParams, *,
+def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
+                          eps_ladder: Sequence[float], params: SolverParams, *,
                           variant: str = "mollified_only",
                           dt_power: float = 1.5) -> StudyReport:
     """Self-convergence in the smoothing width.
@@ -148,10 +148,9 @@ def eps_convergence_study(psi0: WaveField, mu, eps_ladder: Sequence[float],
         raise ValueError("eps ladder needs at least three values")
     if any(abs(b - a / 2) > 1e-9 * a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must halve at every step")
-    m = _as_measure(mu)
     solve_eps = sorted({e for e in ladder} | {e / 2 for e in ladder}, reverse=True)
     check_resolution(psi0.grid, min(solve_eps))
-    profile = weight_profile(m)
+    profile = weight_profile(mu)
 
     rec_interval = params.record_every * params.dt
     n_intervals = params.t_final / rec_interval
@@ -167,7 +166,7 @@ def eps_convergence_study(psi0: WaveField, mu, eps_ladder: Sequence[float],
                              t_final=params.t_final,
                              record_every=substeps,
                              record_quartic=params.record_quartic)
-        return evolve_regularized(psi0, m, eps, local, variant, profile=profile)
+        return evolve_regularized(psi0, mu, eps, local, variant, profile=profile)
 
     runs = dict(zip(solve_eps, parallel_map(run, solve_eps)))
 
@@ -178,7 +177,7 @@ def eps_convergence_study(psi0: WaveField, mu, eps_ladder: Sequence[float],
         for a, b in zip(coarse.states, fine.states):
             diff = WaveField(psi0.grid, a.values - b.values)
             h1s.append(sobolev_norm(diff, 1.0))
-            l2s.append(weighted_l2_norm(diff, m, profile=profile))
+            l2s.append(weighted_l2_norm(diff, mu, profile=profile))
         h1s, l2s = np.asarray(h1s), np.asarray(l2s)
         d_h1.append(float(np.max(h1s)))
         d_l2mu.append(float(np.max(l2s)))
@@ -200,14 +199,14 @@ def eps_convergence_study(psi0: WaveField, mu, eps_ladder: Sequence[float],
          "dt_finest": runs[solve_eps[-1]].params.dt, "dt_power": dt_power,
          "t_final": params.t_final, "grid_n": psi0.grid.n,
          "half_length": psi0.grid.half_length,
-         "atom_count": m.atoms.count if m.atoms is not None else 0},
+         "atom_count": mu.count},
         {"eps": ladder, "d_h1": d_h1, "d_l2mu": d_l2mu, "d_sum": d_sum,
          "ratio": ratios},
         rates, flags)
 
 
-def stability_study(psi0: WaveField, mu, eps: float, deltas: Sequence[float],
-                    params: SolverParams, seed: int, *,
+def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
+                    deltas: Sequence[float], params: SolverParams, seed: int, *,
                     variant: str = "fully_truncated",
                     envelope_constant: float | None = None) -> StudyReport:
     """Difference-ratio growth under initial-data perturbations.
@@ -231,8 +230,7 @@ def stability_study(psi0: WaveField, mu, eps: float, deltas: Sequence[float],
         raise ValueError("deltas must be nonnegative")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    m = _as_measure(mu)
-    profile = weight_profile(m)
+    profile = weight_profile(mu)
     g = random_field(psi0.grid, _rng.generator(seed), normalize="h1")
     c_env = (CALIBRATION["stability_envelope_constant"]
              if envelope_constant is None else float(envelope_constant))
@@ -243,7 +241,7 @@ def stability_study(psi0: WaveField, mu, eps: float, deltas: Sequence[float],
     def run(job):
         values, backward = job
         start = WaveField(psi0.grid, np.conj(values) if backward else values)
-        return evolve_regularized(start, m, eps, params, variant,
+        return evolve_regularized(start, mu, eps, params, variant,
                                   profile=profile)
 
     runs = parallel_map(run, jobs)

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sprinkled_nls.cli import DEFAULTS, main, resolve_config
+from sprinkled_nls import Grid, check_resolution
+from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _guard_resolution, _parse_value,
+                               main, resolve_config)
 from sprinkled_nls.errors import ConfigError
+from sprinkled_nls.field import _BIN_MAGIC
 
 
 def run(*argv):
@@ -135,6 +140,51 @@ def test_exit_codes(tmp_path):
     assert run("sample", "--out", str(tmp_path / "x"), "--override",
                "measure=file", "--override",
                f"atoms_file={tmp_path / 'missing.json'}") == 2
+
+
+def test_atoms_file_without_atoms_exits_2(tmp_path):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"window": [-8, 8]}))
+    assert run("sample", "--out", str(tmp_path / "x"), "--override",
+               "measure=file", "--override", f"atoms_file={atoms}") == 2
+
+
+def test_field_bin_cut_in_header_exits_2(tmp_path):
+    field = tmp_path / "psi.bin"
+    field.write_bytes(_BIN_MAGIC + b"\0" * 12)
+    assert run("solve", "--out", str(tmp_path / "x"), "--override",
+               "initial=file", "--override", f"field_file={field}") == 2
+
+
+def test_default_study_config_passes_resolution_checks():
+    """The bare eps study clears the CLI guard on the smallest rung and the
+    library rule on the finest solve width (half that rung)."""
+    cfg = resolve_config(None, [], None, None)
+    grid = Grid(cfg["half_length"], cfg["n_points"])
+    eps_min = min(cfg["eps_ladder"])
+    _guard_resolution(grid, eps_min)
+    check_resolution(grid, eps_min / 2)
+
+
+def test_readme_config_table_matches_schema():
+    """Every config key has a README row stating its default; keys whose
+    default defers to the command (empty or 0) carry a plain-text note."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        key_cell, default_cell = line.strip("|").split("|")[:2]
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        defaults = re.findall(r"`([^`]*)`", default_cell) or [None] * len(keys)
+        assert len(keys) == len(defaults), line
+        documented.update(zip(keys, defaults))
+    assert set(documented) == set(SCHEMA)
+    for key, text in documented.items():
+        if text is None:
+            assert not DEFAULTS[key], key
+        else:
+            assert _parse_value(key, text) == DEFAULTS[key], key
 
 
 def test_study_moments_pass_and_report(tmp_path, capsys):

@@ -7,7 +7,6 @@ from sprinkled_nls import (AtomicMeasure, Grid, GriddedDensity, SolverParams,
 from sprinkled_nls.diagnostics import (atomic_energy, energy, kinetic_energy,
                                        mass, quartic_measure_integral,
                                        tail_norms, tail_report)
-from sprinkled_nls.measure import Measure
 from sprinkled_nls.mollify import truncated_potential
 
 # frozen: int exp(-2x^2) = sqrt(pi/2), (1/2) int |d/dx exp(-x^2)|^2 = sqrt(pi/8)
@@ -45,12 +44,6 @@ def test_quartic_atom_sum(gauss):
     expect = 2.0 + np.exp(-0.09) ** 4
     assert quartic_measure_integral(gauss, mu) == pytest.approx(expect,
                                                                 rel=1e-12)
-
-
-def test_quartic_includes_density_part(gauss, fine_grid):
-    m = Measure(density=GriddedDensity(fine_grid, np.ones(fine_grid.n)))
-    assert quartic_measure_integral(gauss, m) == pytest.approx(
-        np.sqrt(np.pi) / 2.0, rel=1e-13)
 
 
 def test_quartic_nonnegative_and_vanishes_off_atoms(fine_grid):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sprinkled_nls import (AtomicMeasure, Grid, GriddedDensity, gaussian_field,
-                           l2_norm, sample_poisson)
+from sprinkled_nls import (AtomicMeasure, Grid, gaussian_field, l2_norm,
+                           sample_poisson)
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.measure import (Measure, block_norm, chi, interval_mass,
-                                   nk_squared, save_profile_csv,
-                                   save_weight_csv, weight, weight_profile,
-                                   weighted_l2_norm)
+from sprinkled_nls.measure import (block_norm, chi, interval_mass, nk_squared,
+                                   save_profile_csv, save_weight_csv, weight,
+                                   weight_profile, weighted_l2_norm)
 
 # frozen quad of exp(-2x^2) * max(4, 5-|x|); the single-atom weight is exact
 GAUSS_UNIT_ATOM_WSQ = 5.777212204202916
@@ -34,13 +33,6 @@ def test_interval_mass_sums_atoms():
     mu = atoms(-0.4, 0.1, 0.3, masses=[1.0, 2.0, 0.5])
     assert interval_mass(mu, 0) == 3.5
     assert interval_mass(mu, -1) == 0.0
-
-
-def test_interval_mass_with_density():
-    g = Grid(16.0, 1024)
-    m = Measure(density=GriddedDensity(g, np.ones(g.n)))
-    assert interval_mass(m, 0) == pytest.approx(1.0, rel=1e-12)
-    assert interval_mass(m, 5) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- weight law ---
@@ -78,13 +70,6 @@ def test_atoms_in_one_interval_pool_their_mass():
     ks = np.arange(-6, 7)
     np.testing.assert_allclose(nk_squared(together, ks),
                                nk_squared(single, ks), rtol=0, atol=1e-12)
-
-
-def test_uniform_density_lifts_baseline_by_one():
-    g = Grid(16.0, 1024)
-    m = Measure(density=GriddedDensity(g, np.ones(g.n)))
-    ks = np.arange(-10, 11)
-    np.testing.assert_allclose(nk_squared(m, ks), 5.0, rtol=0, atol=1e-12)
 
 
 def test_profile_extends_analytically():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import AtomicMeasure, Grid, GriddedDensity, sample_poisson
+from sprinkled_nls import AtomicMeasure, Grid, sample_poisson
 from sprinkled_nls.bump import cutoff
 from sprinkled_nls.errors import ResolutionError
-from sprinkled_nls.measure import Measure
 from sprinkled_nls.mollify import (VARIANTS, check_resolution,
                                    mollified_density, truncated_potential)
 
@@ -58,14 +57,6 @@ def test_mollified_total_mass_poisson():
     mu = sample_poisson((-32.0, 32.0), 1.0, 7)
     d = mollified_density(mu, g, 0.2)
     assert d.integral() == pytest.approx(mu.total_mass(), rel=1e-12)
-
-
-def test_mollifying_uniform_density_is_identity():
-    """Convolution with the unit-mass kernel preserves constants exactly."""
-    g = Grid(16.0, 1024)
-    m = Measure(density=GriddedDensity(g, np.ones(g.n)))
-    d = mollified_density(m, g, 0.25)
-    np.testing.assert_allclose(d.values, 1.0, rtol=0, atol=1e-12)
 
 
 def test_resolution_guard_enforced():

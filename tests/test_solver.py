@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,12 +5,10 @@ from sprinkled_nls import (AtomicMeasure, Grid, GriddedDensity, SolverParams,
                            WaveField, evolve, evolve_regularized,
                            free_propagator, gaussian_field, l2_norm,
                            oracle_evolve, random_field, sample_comb,
-                           save_run_manifest, save_snapshots,
-                           save_trajectory_csv)
+                           save_snapshots, save_trajectory_csv)
 from sprinkled_nls import rng
 from sprinkled_nls.errors import BlowUpError, OracleInstabilityError
 from sprinkled_nls.mollify import truncated_potential
-from sprinkled_nls.solver import strang_step
 
 
 def zero_potential(grid):
@@ -40,16 +36,6 @@ def test_zero_potential_matches_free_propagator(grid):
     exact = free_propagator(psi0, 0.1)
     err = l2_norm(WaveField(grid, traj.states[-1].values - exact.values))
     assert err < 1e-13
-
-
-def test_strang_step_single_agrees_with_evolve(grid):
-    psi0 = gaussian_field(grid)
-    pot = truncated_potential(sample_comb((-8.0, 8.0)), grid, 0.4)
-    stepped = strang_step(psi0, pot, 1e-2)
-    params = SolverParams(dt=1e-2, t_final=1e-2, record_every=1)
-    traj = evolve(psi0, pot, params)
-    np.testing.assert_allclose(traj.states[-1].values, stepped.values,
-                               rtol=0, atol=1e-15)
 
 
 def test_mass_conserved_to_roundoff(grid):
@@ -161,29 +147,6 @@ def test_trajectory_csv_layout(tmp_path, grid):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,mass,energy,h1,l2mu,sup,quartic"
     assert len(lines) == len(traj.times) + 1
-
-
-def test_run_manifest(tmp_path, grid):
-    traj = evolve(gaussian_field(grid), zero_potential(grid),
-                  SolverParams(dt=1e-2, t_final=0.02), metadata={"eps": 0.2})
-    path = tmp_path / "manifest.json"
-    save_run_manifest(traj, path, seed=5, extra={"note": "check"})
-    doc = json.loads(path.read_text())
-    assert doc["grid"] == {"half_length": 16.0, "n": 512}
-    assert doc["seed"] == 5
-    assert doc["note"] == "check"
-    assert len(doc["content_hash"]) == 40
-    assert "created_unix" in doc
-
-
-def test_manifest_hash_ignores_timestamp(tmp_path, grid):
-    traj = evolve(gaussian_field(grid), zero_potential(grid),
-                  SolverParams(dt=1e-2, t_final=0.02))
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_run_manifest(traj, a)
-    save_run_manifest(traj, b)
-    da, db = json.loads(a.read_text()), json.loads(b.read_text())
-    assert da["content_hash"] == db["content_hash"]
 
 
 def test_snapshots_round_trip(tmp_path, grid):
