@@ -13,8 +13,8 @@ from .field import (Grid, GriddedDensity, WaveField, evaluate_at,
                     free_propagator, gaussian_field, l2_norm, load_field_bin,
                     load_field_csv, lp_project, random_field, save_field_bin,
                     save_field_csv, sobolev_norm, sup_norm)
-from .measure import (WeightProfile, block_norm, chi, interval_mass, nk_squared,
-                      weight, weight_profile, weighted_l2_norm)
+from .measure import (WeightProfile, block_norm, chi, weight_profile,
+                      weighted_l2_norm)
 from .mollify import (VARIANTS, check_resolution, mollified_density,
                       truncated_potential)
 from .point_process import (AtomicMeasure, TestFunction,
@@ -24,7 +24,7 @@ from .point_process import (AtomicMeasure, TestFunction,
                             poisson_laplace_functional, sample_bernoulli_crystal,
                             sample_comb, sample_fixed_count, sample_poisson,
                             save_atoms_csv, save_atoms_json, smoothed_indicator)
-from .rng import generator, substream, substream_seed
+from .rng import generator, substream_seed
 from .solver import (SolverParams, Trajectory, evolve, evolve_regularized,
                      oracle_evolve, save_snapshots, save_trajectory_csv)
 from .studies import (StudyReport, eps_convergence_study, laplace_study,

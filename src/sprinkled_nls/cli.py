@@ -7,7 +7,8 @@ that.  Runs are deterministic given (config, seed): rerunning writes
 byte-identical CSV payloads.  Timestamps appear only in the JSON manifest.
 
 Exit codes: 0 success (and all study flags pass), 2 configuration problem,
-3 resolution guard, 4 numerical failure, 5 study flags failed.
+3 grid too coarse for a smoothing width (``mollify.check_resolution``),
+4 numerical failure, 5 study flags failed.
 """
 from __future__ import annotations
 
@@ -171,8 +172,7 @@ def _build_initial(cfg: dict, grid: Grid):
                               amplitude=cfg["amplitude"])
     if kind == "random":
         gen = _rng.generator(_rng.substream_seed(cfg["seed"], 1))
-        return random_field(grid, gen, spectral_width=cfg["spectral_width"],
-                            normalize="h1")
+        return random_field(grid, gen, spectral_width=cfg["spectral_width"])
     if not cfg["field_file"]:
         raise ConfigError("initial=file requires field_file=PATH")
     path = Path(cfg["field_file"])
@@ -182,13 +182,6 @@ def _build_initial(cfg: dict, grid: Grid):
     if f.grid != grid:
         raise ConfigError("field_file grid does not match the configured grid")
     return f
-
-
-def _guard_resolution(grid: Grid, eps_min: float) -> None:
-    if grid.dx > eps_min / 8:
-        raise ResolutionError(
-            f"grid spacing {grid.dx:g} exceeds eps_min/8 = {eps_min / 8:g}; "
-            f"raise n_points or eps")
 
 
 def _solver_params(cfg: dict) -> SolverParams:
@@ -232,7 +225,6 @@ def cmd_solve(cfg: dict) -> int:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(cfg["half_length"], cfg["n_points"])
-    _guard_resolution(grid, cfg["eps"])
     mu = _build_measure(cfg)
     psi0 = _build_initial(cfg, grid)
     variant = cfg["variant"] or "fully_truncated"
@@ -255,17 +247,12 @@ def cmd_study(cfg: dict) -> int:
     which = cfg["study"]
     n_samples = cfg["n_samples"]
     if which == "eps":
-        ladder = cfg["eps_ladder"]
         grid = Grid(cfg["half_length"], cfg["n_points"])
-        # the study rejects empty, non-positive and non-halving ladders itself
-        if min(ladder, default=0.0) > 0:
-            _guard_resolution(grid, min(ladder))
         report = eps_convergence_study(
-            _build_initial(cfg, grid), _build_measure(cfg), ladder,
+            _build_initial(cfg, grid), _build_measure(cfg), cfg["eps_ladder"],
             _solver_params(cfg), variant=cfg["variant"] or "mollified_only")
     elif which == "stability":
         grid = Grid(cfg["half_length"], cfg["n_points"])
-        _guard_resolution(grid, cfg["eps"])
         report = stability_study(
             _build_initial(cfg, grid), _build_measure(cfg), cfg["eps"],
             cfg["deltas"], _solver_params(cfg),

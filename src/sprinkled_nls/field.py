@@ -116,26 +116,16 @@ def gaussian_field(grid: Grid, sigma: float = 1.0, center: float = 0.0,
     return WaveField(grid, amplitude * np.exp(-u * u).astype(np.complex128))
 
 
-def random_field(grid: Grid, seed_rng, spectral_width: float = 3.0,
-                 normalize: str | None = "h1") -> WaveField:
-    """Seeded random smooth field: Gaussian spectral amplitudes with an
-    exp(-(xi/width)^2) envelope, optionally normalized in H^1 or L^2."""
+def random_field(grid: Grid, seed_rng, spectral_width: float = 3.0) -> WaveField:
+    """Seeded random smooth field of unit H^1 norm: Gaussian spectral
+    amplitudes with an exp(-(xi/width)^2) envelope."""
     from . import rng as _rng
 
     gen = seed_rng if isinstance(seed_rng, np.random.Generator) else _rng.generator(seed_rng)
     envelope = np.exp(-((grid.xi / spectral_width) ** 2))
     coeff = (gen.standard_normal(grid.n) + 1j * gen.standard_normal(grid.n)) * envelope
-    values = np.fft.ifft(coeff)
-    f = WaveField(grid, values)
-    if normalize == "h1":
-        scale = sobolev_norm(f, 1.0)
-    elif normalize == "l2":
-        scale = l2_norm(f)
-    elif normalize is None:
-        return f
-    else:
-        raise ValueError("normalize must be 'h1', 'l2', or None")
-    return WaveField(grid, f.values / scale)
+    f = WaveField(grid, np.fft.ifft(coeff))
+    return WaveField(grid, f.values / sobolev_norm(f, 1.0))
 
 
 def l2_norm(f: WaveField) -> float:
@@ -157,24 +147,13 @@ def sobolev_norm(f: WaveField, s: float) -> float:
                          * f.grid.dx / f.grid.n))
 
 
-def lp_project(f: WaveField, n_cut: float, mode: str = "at_or_below") -> WaveField:
-    """Frequency projection with the smooth plateau multiplier at scale n_cut.
-
-    "at_or_below" multiplies the spectrum by the plateau at xi/n_cut (pass-band
-    |xi| <= n_cut, gone beyond 2*n_cut); "above" is the exact complement, so the
-    two modes always sum back to f.
-    """
+def lp_project(f: WaveField, n_cut: float) -> WaveField:
+    """Frequency projection at or below n_cut: the spectrum times the smooth
+    plateau at xi/n_cut (pass-band |xi| <= n_cut, gone beyond 2*n_cut)."""
     if n_cut < 1:
         raise ValueError("n_cut must be at least 1")
     fhat = np.fft.fft(f.values)
-    low = fhat * plateau_cutoff(f.grid.xi / n_cut)
-    if mode == "at_or_below":
-        out = low
-    elif mode == "above":
-        out = fhat - low
-    else:
-        raise ValueError("mode must be 'at_or_below' or 'above'")
-    return WaveField(f.grid, np.fft.ifft(out))
+    return WaveField(f.grid, np.fft.ifft(fhat * plateau_cutoff(f.grid.xi / n_cut)))
 
 
 def free_propagator(f: WaveField, t: float) -> WaveField:
@@ -187,15 +166,12 @@ def evaluate_at(f: WaveField, points) -> np.ndarray:
     """Trigonometric-interpolant values at arbitrary points in [-L, L).
 
     Exact for band-limited fields; reproduces grid-node values to roundoff.
-    Returns a complex array shaped like `points` (complex scalar for scalar in).
+    Returns a 1-d complex array, one value per point.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     fhat = np.fft.fft(f.values) / f.grid.n
     phase = np.exp(1j * np.outer(pts + f.grid.half_length, f.grid.xi))
-    vals = phase @ fhat
-    if np.isscalar(points) or np.ndim(points) == 0:
-        return complex(vals[0])
-    return vals
+    return phase @ fhat
 
 
 # --- serialization ---
@@ -211,7 +187,9 @@ def save_field_csv(f: WaveField, path) -> None:
 
 
 def load_field_csv(path) -> WaveField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"field CSV {path} needs x,re,im data rows")
     x = data[:, 0]
     n = len(x)
     half_length = -x[0]

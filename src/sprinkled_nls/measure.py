@@ -1,7 +1,8 @@
 """The slowly varying weight built from an atomic measure.
 
 The weight machinery discretizes the measure into unit-interval masses
-mu(I_k), I_k = [k-1/2, k+1/2), and forms
+mu(I_k), I_k = [k-1/2, k+1/2) (an atom on k+1/2 belongs to I_{k+1}), and
+forms
 
     N_k^2 = 4 + max(0, sup over occupied intervals l of mu(I_l)^2 - |k-l|),
 
@@ -17,35 +18,23 @@ with a smooth partition of unity chi_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .bump import raw_bump
-from .field import Grid, WaveField
+from .field import WaveField
 from .point_process import AtomicMeasure
 
 __all__ = [
     "WeightProfile",
-    "interval_mass",
     "weight_profile",
-    "nk_squared",
-    "weight",
     "chi",
     "weighted_l2_norm",
     "block_norm",
     "save_profile_csv",
-    "save_weight_csv",
 ]
 
 BASELINE_NK_SQUARED = 4.0
-
-
-def interval_mass(mu: AtomicMeasure, k: int) -> float:
-    """mu(I_k) with I_k = [k-1/2, k+1/2); atoms on the right edge belong to
-    the next interval."""
-    inside = (mu.positions >= k - 0.5) & (mu.positions < k + 0.5)
-    return float(np.sum(mu.masses[inside]))
 
 
 @dataclass(frozen=True)
@@ -59,7 +48,6 @@ class WeightProfile:
 
     k_start: int
     nk_squared_values: np.ndarray
-    window: tuple[float, float]
 
     def __post_init__(self):
         v = np.asarray(self.nk_squared_values, dtype=float).copy()
@@ -107,8 +95,7 @@ def weight_profile(mu: AtomicMeasure) -> WeightProfile:
     if ls.size == 0:
         k_start = int(np.floor(a))
         ks = np.arange(k_start, int(np.ceil(b)) + 1)
-        return WeightProfile(k_start, np.full(ks.size, BASELINE_NK_SQUARED),
-                             mu.window)
+        return WeightProfile(k_start, np.full(ks.size, BASELINE_NK_SQUARED))
     margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + np.max(lmass) ** 2))
     k_start = int(min(np.floor(a), ls.min())) - margin
     k_end = int(max(np.ceil(b), ls.max())) + margin
@@ -116,17 +103,7 @@ def weight_profile(mu: AtomicMeasure) -> WeightProfile:
     # sup over occupied intervals of mass^2 - |k - l|, floored at 0
     contrib = lmass[None, :] ** 2 - np.abs(ks[:, None] - ls[None, :])
     sup = np.maximum(0.0, contrib.max(axis=1))
-    return WeightProfile(k_start, BASELINE_NK_SQUARED + sup, mu.window)
-
-
-def nk_squared(mu: AtomicMeasure, k) -> np.ndarray:
-    """N_k^2 directly from a measure (convenience wrapper)."""
-    return weight_profile(mu).nk_squared(k)
-
-
-def weight(mu: AtomicMeasure, x) -> np.ndarray:
-    """w(x) directly from a measure (convenience wrapper)."""
-    return weight_profile(mu).weight(x)
+    return WeightProfile(k_start, BASELINE_NK_SQUARED + sup)
 
 
 def chi(x, k: int) -> np.ndarray:
@@ -185,21 +162,17 @@ def weighted_l2_norm(f: WaveField, mu: AtomicMeasure, *,
 
 
 def block_norm(f: WaveField, mu: AtomicMeasure, *,
-               profile: WeightProfile | None = None,
-               ks: Iterable[int] | None = None) -> float:
-    """( sum_k N_k^2 ||chi_k f||_{L^2}^2 )^(1/2) over the window (plus margin)."""
+               profile: WeightProfile | None = None) -> float:
+    """( sum_k N_k^2 ||chi_k f||_{L^2}^2 )^(1/2) over the grid (plus margin)."""
     if profile is None:
         profile = weight_profile(mu)
     g = f.grid
-    if ks is None:
-        ks = range(int(np.floor(-g.half_length)) - 1,
-                   int(np.ceil(g.half_length)) + 2)
-    ks = np.asarray(list(ks), dtype=np.int64)
     v2 = f.values.real**2 + f.values.imag**2
     total = 0.0
-    for k in ks:
-        c = chi(g.x, int(k))
-        total += float(profile.nk_squared(int(k))) * float(np.sum(c * c * v2)) * g.dx
+    for k in range(int(np.floor(-g.half_length)) - 1,
+                   int(np.ceil(g.half_length)) + 2):
+        c = chi(g.x, k)
+        total += float(profile.nk_squared(k)) * float(np.sum(c * c * v2)) * g.dx
     return float(np.sqrt(total))
 
 
@@ -210,11 +183,3 @@ def save_profile_csv(p: WeightProfile, path) -> None:
         fh.write("k,nk_squared\n")
         for i, v in enumerate(p.nk_squared_values):
             fh.write(f"{p.k_start + i:d},{v:.17g}\n")
-
-
-def save_weight_csv(p: WeightProfile, grid: Grid, path) -> None:
-    w = p.weight(grid.x)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,w\n")
-        for x, v in zip(grid.x, w):
-            fh.write(f"{x:.17g},{v:.17g}\n")

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bump import bump, cutoff
+from .bump import bump_scaled, cutoff
 from .errors import ResolutionError
 from .field import Grid, GriddedDensity
 from .point_process import AtomicMeasure
 
 __all__ = [
     "VARIANTS",
-    "GriddedDensity",
     "check_resolution",
     "mollified_density",
     "truncated_potential",
@@ -56,7 +55,7 @@ def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensi
         if i1 < i0:
             continue
         xs = -L + dx * np.arange(i0, i1 + 1)
-        k = bump((xs - y) / eps) / eps
+        k = bump_scaled(xs - y, eps)
         s = k.sum() * dx
         if s <= 0.0:
             continue

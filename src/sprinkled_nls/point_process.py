@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,22 +221,24 @@ def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float
 
 
 def empirical_laplace_functional(sampler: Callable[[int], AtomicMeasure],
-                                 phi: TestFunction, n_samples: int,
-                                 seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of E exp(-integral phi dmu).
+                                 phis: Sequence[TestFunction], n_samples: int,
+                                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo estimates (means, standard errors) of E exp(-integral phi
+    dmu), one entry per test function, all on one sample set.
 
-    Sample i draws from the substream (seed, i), so the estimate is
+    Sample i draws from the substream (seed, i), so the estimates are
     reproducible and independent of evaluation order.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    vals = np.empty(n_samples)
+    vals = np.empty((n_samples, len(phis)))
     for i in range(n_samples):
         mu = sampler(_rng.substream_seed(seed, i))
-        vals[i] = np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
-    return mean, stderr
+        for j, phi in enumerate(phis):
+            vals[i, j] = np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
+    means = np.mean(vals, axis=0)
+    stderrs = np.std(vals, axis=0, ddof=1) / np.sqrt(n_samples)
+    return means, stderrs
 
 
 # --- serialization ---

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["generator", "substream_seed", "substream"]
+__all__ = ["generator", "substream_seed"]
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -23,8 +23,3 @@ def substream_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     state = ss.generate_state(4, dtype=np.uint32)
     return int.from_bytes(state.tobytes(), "little")
-
-
-def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for sample `index` of a sweep under `master_seed`."""
-    return generator(substream_seed(master_seed, index))

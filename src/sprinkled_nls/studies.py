@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, l2_norm,
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import VARIANTS, check_resolution
 from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
+                            empirical_laplace_functional,
                             fixed_count_laplace_functional,
                             poisson_laplace_functional, sample_poisson,
                             smoothed_indicator)
@@ -120,10 +121,12 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+EPS_DT_POWER = 1.5
+
+
 def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
                           eps_ladder: Sequence[float], params: SolverParams, *,
-                          variant: str = "mollified_only",
-                          dt_power: float = 1.5) -> StudyReport:
+                          variant: str = "mollified_only") -> StudyReport:
     """Self-convergence in the smoothing width.
 
     For each value eps of a halving ladder (at least three entries) the study
@@ -136,10 +139,10 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     The splitting error grows steeply as the potential sharpens (empirically
     like dt^2 * eps^-2.2), so a uniform step would either drown the fine-eps
     differences in time-discretization error or waste work at coarse eps.
-    Each solve therefore takes dt scaled by (eps / eps_max)^dt_power, snapped
-    so every run records on the common grid of params.dt * record_every;
-    params.dt is the step used at the coarsest width.  t_final must be a
-    multiple of that record interval.
+    Each solve therefore takes dt scaled by (eps / eps_max)^EPS_DT_POWER,
+    snapped so every run records on the common grid of params.dt *
+    record_every; params.dt is the step used at the coarsest width.  t_final
+    must be a multiple of that record interval.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -160,8 +163,8 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     eps_max = solve_eps[0]
 
     def run(eps: float):
-        substeps = int(np.ceil(params.record_every * (eps_max / eps) ** dt_power
-                               - 1e-9))
+        substeps = int(np.ceil(params.record_every
+                               * (eps_max / eps) ** EPS_DT_POWER - 1e-9))
         local = SolverParams(dt=rec_interval / substeps,
                              t_final=params.t_final,
                              record_every=substeps,
@@ -196,7 +199,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     return StudyReport(
         "eps_convergence",
         {"variant": variant, "dt_coarsest": params.dt,
-         "dt_finest": runs[solve_eps[-1]].params.dt, "dt_power": dt_power,
+         "dt_finest": runs[solve_eps[-1]].params.dt, "dt_power": EPS_DT_POWER,
          "t_final": params.t_final, "grid_n": psi0.grid.n,
          "half_length": psi0.grid.half_length,
          "atom_count": mu.count},
@@ -231,7 +234,7 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     profile = weight_profile(mu)
-    g = random_field(psi0.grid, _rng.generator(seed), normalize="h1")
+    g = random_field(psi0.grid, _rng.generator(seed))
     c_env = (CALIBRATION["stability_envelope_constant"]
              if envelope_constant is None else float(envelope_constant))
 
@@ -293,10 +296,10 @@ def _default_profiles(grid: Grid) -> dict[str, WaveField]:
     }
 
 
-def moment_study(profiles=None, n_samples: int = 20000, seed: int = 0, *,
+def moment_study(profiles: Mapping[str, WaveField] | None = None,
+                 n_samples: int = 20000, seed: int = 0, *,
                  window: tuple[float, float] = (-32.0, 32.0),
-                 intensity: float = 1.0,
-                 grid: Grid | None = None) -> StudyReport:
+                 intensity: float = 1.0) -> StudyReport:
     """Sampled weight statistics at the origin plus weighted-mass ratios.
 
     Estimates E[N_0^2] over unit-intensity samples and checks that the
@@ -305,18 +308,13 @@ def moment_study(profiles=None, n_samples: int = 20000, seed: int = 0, *,
     second moments of ||f||_{L^2_mu}^2 against the frozen ratio bounds:
     E X <= c ||f||_{L^2}^2 and E X^2 <= c_2 ||f||_{L^2}^4.
 
-    ``profiles`` may be a single field, a sequence of fields, a name-to-field
-    mapping, or None for three built-in Gaussians.
+    ``profiles`` maps names to fields; None gives three built-in Gaussians on
+    the default grid.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for stable statistics")
     if profiles is None:
-        grid = grid or Grid(32.0, 4096)
-        profiles = _default_profiles(grid)
-    elif isinstance(profiles, WaveField):
-        profiles = {"profile_0": profiles}
-    elif not isinstance(profiles, dict):
-        profiles = {f"profile_{j}": f for j, f in enumerate(profiles)}
+        profiles = _default_profiles(Grid(32.0, 4096))
     if not profiles:
         raise ValueError("need at least one field profile")
     fields = list(profiles.values())
@@ -401,13 +399,8 @@ def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     se_var = float(np.sqrt(max(m4 - (n_samples - 3) / (n_samples - 1) * m2**2,
                                0.0) / n_samples))
 
-    vals = np.empty((n_samples, len(phis)))
-    for i in range(n_samples):
-        mu = sample_poisson((-1.0, 2.0), 1.0, _rng.substream_seed(lf_seed, i))
-        for j, phi in enumerate(phis):
-            vals[i, j] = np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
-    emp = np.mean(vals, axis=0)
-    se = np.std(vals, axis=0, ddof=1) / np.sqrt(n_samples)
+    emp, se = empirical_laplace_functional(
+        lambda s: sample_poisson((-1.0, 2.0), 1.0, s), phis, n_samples, lf_seed)
     closed = np.array([poisson_laplace_functional(phi) for phi in phis])
 
     phi1 = phis[1]

@@ -213,7 +213,7 @@ def test_criterion_09_mollification_consistency():
     worst = 0.0
     for i in range(100):
         f = random_field(grid, _rng.generator(_rng.substream_seed(0, 2 * i)),
-                         spectral_width=1.0, normalize="h1")
+                         spectral_width=1.0)
         mu = sample_poisson((-14.0, 14.0), 1.0,
                             _rng.substream_seed(0, 2 * i + 1))
         target = quartic_measure_integral(f, mu)

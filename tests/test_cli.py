@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sprinkled_nls import Grid, check_resolution
-from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _guard_resolution, _parse_value,
-                               main, resolve_config)
+from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
+                               resolve_config)
 from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.field import _BIN_MAGIC
 
@@ -133,7 +133,9 @@ def test_exit_codes(tmp_path):
     assert run("sample", "--override", "nope=1",
                "--out", str(tmp_path / "x")) == 2
     assert run("solve", "--out", str(tmp_path / "x"),
-               "--override", "n_points=2048") == 3  # dx > eps/8
+               "--override", "n_points=256") == 3  # dx > eps/2
+    assert run("solve", "--out", str(tmp_path / "x"),
+               "--override", "eps=0") == 2  # outside (0, 1], not a grid issue
     assert run("solve", "--out", str(tmp_path / "x"), "--override",
                "initial=file", "--override",
                f"field_file={tmp_path / 'missing.csv'}") == 2
@@ -156,14 +158,28 @@ def test_field_bin_cut_in_header_exits_2(tmp_path):
                "initial=file", "--override", f"field_file={field}") == 2
 
 
+def test_solve_accepts_every_width_the_library_accepts(tmp_path):
+    """On the default grid dx = eps/6.4 at eps = 0.1, inside the dx <= eps/2
+    rule, so the solve runs."""
+    assert run("solve", "--out", str(tmp_path / "x"), "--override", "eps=0.1",
+               "--override", "t_final=0.01") == 0
+
+
+@pytest.mark.parametrize("rows", ["", "-1,0,0\n"], ids=["header_only", "one_row"])
+def test_field_csv_too_short_exits_2(tmp_path, rows):
+    field = tmp_path / "psi.csv"
+    field.write_text("x,re,im\n" + rows)
+    assert run("solve", "--out", str(tmp_path / "x"), "--override",
+               "initial=file", "--override", f"field_file={field}") == 2
+
+
 def test_default_study_config_passes_resolution_checks():
-    """The bare eps study clears the CLI guard on the smallest rung and the
-    library rule on the finest solve width (half that rung)."""
+    """The bare eps study's finest solve (half the smallest rung) and the
+    stability study's width clear the library rule on the default grid."""
     cfg = resolve_config(None, [], None, None)
     grid = Grid(cfg["half_length"], cfg["n_points"])
-    eps_min = min(cfg["eps_ladder"])
-    _guard_resolution(grid, eps_min)
-    check_resolution(grid, eps_min / 2)
+    check_resolution(grid, min(cfg["eps_ladder"]) / 2)
+    check_resolution(grid, cfg["eps"])
 
 
 def test_readme_config_table_matches_schema():

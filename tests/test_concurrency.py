@@ -1,7 +1,7 @@
 import pytest
 
 from sprinkled_nls.concurrency import ENV_VAR, parallel_map, thread_count
-from sprinkled_nls.rng import substream
+from sprinkled_nls.rng import generator, substream_seed
 
 
 def test_thread_count_default(monkeypatch):
@@ -36,7 +36,7 @@ def test_parallel_map_bitwise_reproducible(monkeypatch):
     """Per-item substreams make results independent of the worker count."""
 
     def draw(i):
-        return substream(123, i).normal(size=3).tolist()
+        return generator(substream_seed(123, i)).normal(size=3).tolist()
 
     monkeypatch.delenv(ENV_VAR, raising=False)
     seq = parallel_map(draw, range(12))

@@ -71,7 +71,7 @@ def test_sobolev_rejects_out_of_range(gauss):
 
 
 def test_evaluate_at_gaussian(gauss):
-    val = evaluate_at(gauss, 0.3)
+    val = evaluate_at(gauss, np.array([0.3]))[0]
     assert val.real == pytest.approx(0.91393118527122819, rel=1e-12)
     assert abs(val.imag) < 1e-13
 
@@ -102,14 +102,6 @@ def test_free_propagator_composes(fine_grid):
     np.testing.assert_allclose(one.values, oneshot.values, rtol=0, atol=1e-13)
 
 
-def test_lp_project_splits_exactly(fine_grid):
-    f = random_field(fine_grid, rng.generator(11))
-    low = lp_project(f, 4.0)
-    high = lp_project(f, 4.0, mode="above")
-    np.testing.assert_allclose(low.values + high.values, f.values,
-                               rtol=0, atol=1e-14)
-
-
 def test_lp_project_passband(fine_grid):
     # a single mode well inside the pass band survives unchanged
     k = 16
@@ -118,22 +110,17 @@ def test_lp_project_passband(fine_grid):
     assert fine_grid.xi[k] <= 4.0
     np.testing.assert_allclose(lp_project(f, 4.0).values, f.values,
                                rtol=0, atol=1e-12)
-    assert l2_norm(lp_project(f, 4.0, mode="above")) < 1e-12
 
 
 def test_lp_project_rejects_small_cut(fine_grid):
     f = gaussian_field(fine_grid)
     with pytest.raises(ValueError):
         lp_project(f, 0.5)
-    with pytest.raises(ValueError):
-        lp_project(f, 4.0, mode="sideways")
 
 
 def test_random_field_normalization(grid):
-    f = random_field(grid, rng.generator(5), normalize="h1")
+    f = random_field(grid, rng.generator(5))
     assert sobolev_norm(f, 1.0) == pytest.approx(1.0, rel=1e-12)
-    g = random_field(grid, rng.generator(5), normalize="l2")
-    assert l2_norm(g) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_random_field_seeded(grid):
@@ -172,7 +159,7 @@ def test_load_field_bin_rejects_wrong_magic(tmp_path):
 def test_sobolev_monotone_in_order(seed, s, t):
     """H^s norms increase with s for any fixed field."""
     grid = Grid(8.0, 64)
-    f = random_field(grid, rng.generator(seed), normalize=None)
+    f = random_field(grid, rng.generator(seed))
     lo, hi = min(s, t), max(s, t)
     assert sobolev_norm(f, lo) <= sobolev_norm(f, hi) * (1.0 + 1e-12)
 
@@ -181,7 +168,7 @@ def test_sobolev_monotone_in_order(seed, s, t):
 def test_free_propagator_isometry(seed, t):
     """Free evolution preserves every H^s norm."""
     grid = Grid(8.0, 64)
-    f = random_field(grid, rng.generator(seed), normalize=None)
+    f = random_field(grid, rng.generator(seed))
     out = free_propagator(f, t)
     for s in (-1.0, 0.0, 1.0):
         assert sobolev_norm(out, s) == pytest.approx(sobolev_norm(f, s),

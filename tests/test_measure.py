@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sprinkled_nls import (AtomicMeasure, Grid, gaussian_field, l2_norm,
-                           sample_poisson)
+from sprinkled_nls import AtomicMeasure, l2_norm, sample_poisson
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.measure import (block_norm, chi, interval_mass, nk_squared,
-                                   save_profile_csv, save_weight_csv, weight,
+from sprinkled_nls.measure import (block_norm, chi, save_profile_csv,
                                    weight_profile, weighted_l2_norm)
 
 # frozen quad of exp(-2x^2) * max(4, 5-|x|); the single-atom weight is exact
@@ -24,15 +22,16 @@ def atoms(*positions, masses=None, window=(-10.0, 10.0)):
 
 def test_interval_mass_half_open():
     """An atom exactly on k + 1/2 belongs to the next interval."""
-    mu = atoms(0.5)
-    assert interval_mass(mu, 0) == 0.0
-    assert interval_mass(mu, 1) == 1.0
+    p = weight_profile(atoms(0.5))
+    np.testing.assert_array_equal(p.nk_squared(np.array([1, 0])), [5.0, 4.0])
 
 
 def test_interval_mass_sums_atoms():
+    """All three atoms lie in I_0 = [-1/2, 1/2) and pool to mu(I_0) = 3.5."""
     mu = atoms(-0.4, 0.1, 0.3, masses=[1.0, 2.0, 0.5])
-    assert interval_mass(mu, 0) == 3.5
-    assert interval_mass(mu, -1) == 0.0
+    np.testing.assert_array_equal(
+        weight_profile(mu).nk_squared(np.array([0, -1])),
+        [4.0 + 3.5**2, 4.0 + 3.5**2 - 1.0])
 
 
 # --- weight law ---
@@ -50,16 +49,17 @@ def test_single_unit_atom_weight_is_tent():
     """One unit mass at the origin gives w(x) = max(4, 5 - |x|)."""
     mu = atoms(0.0)
     x = np.linspace(-8.0, 8.0, 1601)
-    np.testing.assert_allclose(weight(mu, x), np.maximum(4.0, 5.0 - np.abs(x)),
+    p = weight_profile(mu)
+    np.testing.assert_allclose(p.weight(x), np.maximum(4.0, 5.0 - np.abs(x)),
                                rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(nk_squared(mu, np.array([0, 1, -1, 2])),
+    np.testing.assert_array_equal(p.nk_squared(np.array([0, 1, -1, 2])),
                                   [5.0, 4.0, 4.0, 4.0])
 
 
 def test_heavy_atom_peak_scales_with_squared_mass():
     mu = atoms(0.2, masses=[2.0])
     ks = np.arange(-6, 7)
-    np.testing.assert_allclose(nk_squared(mu, ks),
+    np.testing.assert_allclose(weight_profile(mu).nk_squared(ks),
                                4.0 + np.maximum(0.0, 4.0 - np.abs(ks)),
                                rtol=0, atol=1e-12)
 
@@ -68,8 +68,9 @@ def test_atoms_in_one_interval_pool_their_mass():
     together = atoms(0.1, 0.3)
     single = atoms(0.2, masses=[2.0])
     ks = np.arange(-6, 7)
-    np.testing.assert_allclose(nk_squared(together, ks),
-                               nk_squared(single, ks), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weight_profile(together).nk_squared(ks),
+                               weight_profile(single).nk_squared(ks),
+                               rtol=0, atol=1e-12)
 
 
 def test_profile_extends_analytically():
@@ -90,7 +91,7 @@ def test_weight_floor_and_lipschitz(pairs):
     """N_k^2 never drops below 4 and moves by at most 1 per unit interval."""
     mu = atoms(*[p for p, _ in pairs], masses=[m for _, m in pairs])
     ks = np.arange(-15, 16)
-    v = nk_squared(mu, ks)
+    v = weight_profile(mu).nk_squared(ks)
     assert np.all(v >= 4.0)
     assert np.all(np.abs(np.diff(v)) <= 1.0 + 1e-12)
 
@@ -116,7 +117,8 @@ def test_weight_monotone_in_measure(pairs, extra):
     grown = atoms(*([p for p, _ in pairs] + [extra[0]]),
                   masses=[m for _, m in pairs] + [extra[1]])
     ks = np.arange(-15, 16)
-    assert np.all(nk_squared(grown, ks) >= nk_squared(mu, ks) - 1e-12)
+    assert np.all(weight_profile(grown).nk_squared(ks)
+                  >= weight_profile(mu).nk_squared(ks) - 1e-12)
 
 
 @given(finite_atoms, st.integers(-4, 4))
@@ -125,8 +127,9 @@ def test_weight_translation_covariance(pairs, shift):
     moved = atoms(*[p + shift for p, _ in pairs],
                   masses=[m for _, m in pairs], window=(-16.0, 16.0))
     ks = np.arange(-10, 11)
-    np.testing.assert_allclose(nk_squared(moved, ks + shift),
-                               nk_squared(mu, ks), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weight_profile(moved).nk_squared(ks + shift),
+                               weight_profile(mu).nk_squared(ks),
+                               rtol=0, atol=1e-12)
 
 
 # --- partition of unity ---
@@ -194,12 +197,3 @@ def test_profile_csv(tmp_path, unit_atom):
     ks, vals = zip(*(ln.split(",") for ln in lines[1:]))
     assert int(ks[0]) == p.k_start
     assert float(vals[p.k_start * -1]) == 5.0  # row for k = 0
-
-
-def test_weight_csv(tmp_path, unit_atom):
-    g = Grid(8.0, 64)
-    path = tmp_path / "weight.csv"
-    save_weight_csv(weight_profile(unit_atom), g, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,w"
-    assert len(lines) == g.n + 1

@@ -154,17 +154,19 @@ def test_laplace_ladders_approach_poisson():
 
 def test_empirical_laplace_functional_matches_closed_form():
     phi = smoothed_indicator(0.0, 1.0, height=2.0)
-    mean, se = empirical_laplace_functional(
-        lambda s: sample_poisson((-1.0, 2.0), 1.0, s), phi, 2000, seed=99)
+    (mean,), (se,) = empirical_laplace_functional(
+        lambda s: sample_poisson((-1.0, 2.0), 1.0, s), [phi], 2000, seed=99)
     assert se < 0.02
     assert abs(mean - poisson_laplace_functional(phi)) <= 3 * se
 
 
 def test_empirical_laplace_functional_reproducible():
-    phi = smoothed_indicator(0.0, 1.0)
+    phis = [smoothed_indicator(0.0, 1.0), smoothed_indicator(0.5, 1.5)]
     sampler = lambda s: sample_poisson((0.0, 2.0), 1.0, s)
-    assert (empirical_laplace_functional(sampler, phi, 64, seed=5)
-            == empirical_laplace_functional(sampler, phi, 64, seed=5))
+    a = empirical_laplace_functional(sampler, phis, 64, seed=5)
+    b = empirical_laplace_functional(sampler, phis, 64, seed=5)
+    np.testing.assert_array_equal(a, b)
+    assert a[0].shape == a[1].shape == (2,)
 
 
 def test_atoms_json_round_trip(tmp_path):

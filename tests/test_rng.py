@@ -27,9 +27,9 @@ def test_substream_seeds_distinct():
 
 def test_substream_order_free():
     """Draws from one substream do not depend on other substreams."""
-    direct = rng.substream(9, 2).standard_normal(8)
-    rng.substream(9, 5).standard_normal(100)
-    again = rng.substream(9, 2).standard_normal(8)
+    direct = rng.generator(rng.substream_seed(9, 2)).standard_normal(8)
+    rng.generator(rng.substream_seed(9, 5)).standard_normal(100)
+    again = rng.generator(rng.substream_seed(9, 2)).standard_normal(8)
     np.testing.assert_array_equal(direct, again)
 
 

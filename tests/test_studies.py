@@ -129,24 +129,15 @@ def test_stability_smoke_time_symmetric():
         CALIBRATION["stability_envelope_constant"]
 
 
-def test_moment_profile_signatures():
-    f = gaussian_field(Grid(32.0, 1024))
-    one = moment_study(f, 1000, 0)
-    seq = moment_study([f], 1000, 0)
-    named = moment_study({"profile_0": f}, 1000, 0)
-    assert one.columns == seq.columns == named.columns
-    assert one.columns["profile"] == ["profile_0"]
-
-
 def test_moment_validation():
     f = gaussian_field(Grid(32.0, 1024))
     with pytest.raises(ValueError):
-        moment_study(f, 999, 0)
+        moment_study({"f": f}, 999, 0)
     with pytest.raises(ValueError):
         moment_study({}, 1000, 0)
     other = gaussian_field(Grid(16.0, 1024))
     with pytest.raises(ValueError):
-        moment_study([f, other], 1000, 0)
+        moment_study({"f": f, "other": other}, 1000, 0)
 
 
 def test_moment_default_profiles_pass():
@@ -164,8 +155,8 @@ def test_moment_window_insensitive():
     """The origin statistic only sees atoms near 0; the window just needs to
     cover the field."""
     f = gaussian_field(Grid(32.0, 1024))
-    a = moment_study(f, 2000, 5, window=(-20.0, 20.0))
-    b = moment_study(f, 2000, 5, window=(-32.0, 32.0))
+    a = moment_study({"f": f}, 2000, 5, window=(-20.0, 20.0))
+    b = moment_study({"f": f}, 2000, 5, window=(-32.0, 32.0))
     ra, rb = a.columns["ratio"][0], b.columns["ratio"][0]
     assert abs(ra - rb) < 0.05 * max(ra, rb)
 
