@@ -8,7 +8,11 @@ byte-identical CSV payloads.  Timestamps appear only in the JSON manifest.
 
 Exit codes: 0 success (and all study flags pass), 2 configuration problem,
 3 grid too coarse for a smoothing width (``mollify.check_resolution``),
-4 numerical failure, 5 study flags failed.
+4 numerical failure, 5 study flags failed.  A configuration problem is a
+ConfigError: the CLI raises it for keys and values, converts the ValueError
+of anything it builds from the config (grid, measure, initial field, step
+parameters, widths, input files), and the study functions raise it for
+their inputs.  Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +32,7 @@ from .errors import (BlowUpError, ConfigError, OracleInstabilityError,
 from .field import (Grid, gaussian_field, load_field_bin, load_field_csv,
                     random_field)
 from .measure import save_profile_csv, weight_profile
-from .mollify import VARIANTS
+from .mollify import VARIANTS, check_resolution
 from .point_process import (AtomicMeasure, load_atoms_json, sample_bernoulli_crystal,
                             sample_comb, sample_fixed_count, sample_poisson,
                             save_atoms_csv, save_atoms_json)
@@ -143,54 +148,86 @@ def resolve_config(config_path: str | None, overrides: list[str],
     return cfg
 
 
+@contextmanager
+def _configured(what: str):
+    """Report a configured value or input file that the library rejects, or
+    a file it cannot read, as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _out_dir(cfg: dict) -> Path:
+    out = Path(cfg["out_dir"])
+    with _configured("out_dir"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _grid(cfg: dict) -> Grid:
+    with _configured("grid"):
+        return Grid(cfg["half_length"], cfg["n_points"])
+
+
+def _check_widths(grid: Grid, *widths: float) -> None:
+    """Widths outside (0, 1] are a configuration problem; a grid too coarse
+    for one raises ResolutionError."""
+    with _configured("eps"):
+        for eps in widths:
+            check_resolution(grid, eps)
+
+
 def _build_measure(cfg: dict) -> AtomicMeasure:
     window = (cfg["window_lo"], cfg["window_hi"])
     kind = cfg["measure"]
     seed = _rng.substream_seed(cfg["seed"], 0)
-    if kind == "poisson":
-        return sample_poisson(window, cfg["intensity"], seed)
-    if kind == "bernoulli":
-        return sample_bernoulli_crystal(window, cfg["spacing"], cfg["prob"], seed)
-    if kind == "canonical":
-        return sample_fixed_count(window, cfg["count"], seed)
-    if kind == "kronig_penney":
-        return sample_comb(window)
-    if kind == "none":
-        return AtomicMeasure(window, np.empty(0), np.empty(0))
-    if not cfg["atoms_file"]:
-        raise ConfigError("measure=file requires atoms_file=PATH")
-    path = Path(cfg["atoms_file"])
-    if not path.is_file():
-        raise ConfigError(f"atoms_file does not exist: {path}")
-    return load_atoms_json(path)
+    with _configured(f"measure {kind}"):
+        if kind == "poisson":
+            return sample_poisson(window, cfg["intensity"], seed)
+        if kind == "bernoulli":
+            return sample_bernoulli_crystal(window, cfg["spacing"], cfg["prob"], seed)
+        if kind == "canonical":
+            return sample_fixed_count(window, cfg["count"], seed)
+        if kind == "kronig_penney":
+            return sample_comb(window)
+        if kind == "none":
+            return AtomicMeasure(window, np.empty(0), np.empty(0))
+        if not cfg["atoms_file"]:
+            raise ConfigError("measure=file requires atoms_file=PATH")
+        path = Path(cfg["atoms_file"])
+        if not path.is_file():
+            raise ConfigError(f"atoms_file does not exist: {path}")
+        return load_atoms_json(path)
 
 
 def _build_initial(cfg: dict, grid: Grid):
     kind = cfg["initial"]
-    if kind == "gaussian":
-        return gaussian_field(grid, sigma=cfg["sigma"], center=cfg["center"],
-                              amplitude=cfg["amplitude"])
-    if kind == "random":
-        gen = _rng.generator(_rng.substream_seed(cfg["seed"], 1))
-        return random_field(grid, gen, spectral_width=cfg["spectral_width"])
-    if not cfg["field_file"]:
-        raise ConfigError("initial=file requires field_file=PATH")
-    path = Path(cfg["field_file"])
-    if not path.is_file():
-        raise ConfigError(f"field_file does not exist: {path}")
-    f = load_field_bin(path) if path.suffix == ".bin" else load_field_csv(path)
+    with _configured(f"initial {kind}"):
+        if kind == "gaussian":
+            return gaussian_field(grid, sigma=cfg["sigma"], center=cfg["center"],
+                                  amplitude=cfg["amplitude"])
+        if kind == "random":
+            gen = _rng.generator(_rng.substream_seed(cfg["seed"], 1))
+            return random_field(grid, gen, spectral_width=cfg["spectral_width"])
+        if not cfg["field_file"]:
+            raise ConfigError("initial=file requires field_file=PATH")
+        path = Path(cfg["field_file"])
+        if not path.is_file():
+            raise ConfigError(f"field_file does not exist: {path}")
+        f = load_field_bin(path) if path.suffix == ".bin" else load_field_csv(path)
     if f.grid != grid:
         raise ConfigError("field_file grid does not match the configured grid")
     return f
 
 
 def _solver_params(cfg: dict) -> SolverParams:
-    try:
+    with _configured("stepping"):
         return SolverParams(dt=cfg["dt"], t_final=cfg["t_final"],
                             record_every=cfg["record_every"],
                             record_quartic=cfg["record_quartic"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _write_manifest(out: Path, command: str, cfg: dict,
@@ -209,8 +246,7 @@ def _write_manifest(out: Path, command: str, cfg: dict,
 
 
 def cmd_sample(cfg: dict) -> int:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     mu = _build_measure(cfg)
     save_atoms_csv(mu, out / "atoms.csv")
     save_atoms_json(mu, out / "atoms.json")
@@ -222,9 +258,9 @@ def cmd_sample(cfg: dict) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(cfg["half_length"], cfg["n_points"])
+    out = _out_dir(cfg)
+    grid = _grid(cfg)
+    _check_widths(grid, cfg["eps"])
     mu = _build_measure(cfg)
     psi0 = _build_initial(cfg, grid)
     variant = cfg["variant"] or "fully_truncated"
@@ -242,17 +278,20 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_study(cfg: dict) -> int:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     which = cfg["study"]
     n_samples = cfg["n_samples"]
     if which == "eps":
-        grid = Grid(cfg["half_length"], cfg["n_points"])
+        grid = _grid(cfg)
+        # the study solves at every rung and at half of it
+        _check_widths(grid, *cfg["eps_ladder"],
+                      *(eps / 2 for eps in cfg["eps_ladder"]))
         report = eps_convergence_study(
             _build_initial(cfg, grid), _build_measure(cfg), cfg["eps_ladder"],
             _solver_params(cfg), variant=cfg["variant"] or "mollified_only")
     elif which == "stability":
-        grid = Grid(cfg["half_length"], cfg["n_points"])
+        grid = _grid(cfg)
+        _check_widths(grid, cfg["eps"])
         report = stability_study(
             _build_initial(cfg, grid), _build_measure(cfg), cfg["eps"],
             cfg["deltas"], _solver_params(cfg),
@@ -309,9 +348,6 @@ def main(argv=None) -> int:
     except (BlowUpError, OracleInstabilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ class SprinkledNLSError(Exception):
     """Base class for package errors."""
 
 
-class ConfigError(SprinkledNLSError):
-    """Invalid configuration file, key, or value."""
+class ConfigError(SprinkledNLSError, ValueError):
+    """Invalid configuration file, key, or value, or a study input outside
+    its domain; a ValueError, so callers that catch ValueError see it too."""
 
 
 class ResolutionError(SprinkledNLSError):

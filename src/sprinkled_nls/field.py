@@ -10,6 +10,7 @@ integrands.  The Parseval-normalized spectral form of the Sobolev norm is
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,7 @@ __all__ = [
     "lp_project",
     "free_propagator",
     "evaluate_at",
+    "hat_moments",
     "save_field_csv",
     "load_field_csv",
     "save_field_bin",
@@ -162,16 +164,83 @@ def free_propagator(f: WaveField, t: float) -> WaveField:
     return WaveField(f.grid, np.fft.ifft(fhat * np.exp(-1j * t * f.grid.xi**2)))
 
 
+def _trig_sum(coeffs: np.ndarray, first: int, half_length: float,
+              points) -> np.ndarray:
+    """sum_j coeffs_j z^(first + j) at each point x, z = exp(i pi (x + L) / L),
+    for K coefficients, K a power of two.
+
+    The phase factors as z^(first + aB + b) = z^first (z^B)^a z^b with B about
+    sqrt(K).  The powers z^b and (z^B)^a are running products of three
+    exponentials per point, so M points cost O(M sqrt(K)) products and M
+    small (1 x B) by (B x K/B) products instead of M K exponentials.  The
+    products stay per point: one (M x B) product is large enough for BLAS to
+    spread over threads, whose wake-up costs more than the product here.
+    """
+    k = coeffs.size
+    b = 1 << (k.bit_length() // 2)
+    s = (np.asarray(points, dtype=float).ravel() + half_length) * (np.pi / half_length)
+    low = _powers(np.exp(1j * s), b)
+    high = _powers(np.exp(1j * b * s), k // b) * np.exp(1j * first * s)[:, None]
+    return np.sum(high * (low[:, None, :] @ coeffs.reshape(k // b, b).T)[:, 0],
+                  axis=1)
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z^0 .. z^(count-1) for each entry of z, one row per entry."""
+    out = np.empty((z.size, count), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1)
+
+
 def evaluate_at(f: WaveField, points) -> np.ndarray:
     """Trigonometric-interpolant values at arbitrary points in [-L, L).
 
     Exact for band-limited fields; reproduces grid-node values to roundoff.
     Returns a 1-d complex array, one value per point.
     """
-    pts = np.asarray(points, dtype=float)
-    fhat = np.fft.fft(f.values) / f.grid.n
-    phase = np.exp(1j * np.outer(pts + f.grid.half_length, f.grid.xi))
-    return phase @ fhat
+    n = f.grid.n
+    return _trig_sum(np.fft.fftshift(np.fft.fft(f.values)) / n, -(n // 2),
+                     f.grid.half_length, points)
+
+
+def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
+    """Integers k and h_k = int_{-L}^{L} |p|^2 hat(x - k) dx for the
+    trigonometric interpolant p of f, hat(t) = max(0, 1 - |t|).
+
+    Every k whose hat meets (-L, L) is listed, so sum_k h_k = ||f||^2 and any
+    piecewise-linear w with nodes at the integers pairs exactly:
+    int |p|^2 w = sum_k w(k) h_k.  |p|^2 = sum_d g_d e_d has frequencies
+    |d| <= N - 1, so its coefficients come alias-free from the 2N-point grid
+    (e_d = exp(i theta_d (x + L)), theta_d = pi d / L).  With the
+    antiderivatives G = g_0 x + sum_{d != 0} g_d e_d / (i theta_d) and
+    H = g_0 x^2 / 2 - sum_{d != 0} g_d e_d / theta_d^2, each hat integral is
+    a second difference of H over its support clipped to [-L, L], plus
+    one-sided G terms where it is clipped; exact for any L, integer or not.
+    """
+    n, half_length = f.grid.n, f.grid.half_length
+    fhat = np.fft.fft(f.values)
+    pad = np.zeros(2 * n, dtype=np.complex128)
+    pad[: n // 2] = fhat[: n // 2]
+    pad[-(n // 2):] = fhat[n // 2:]
+    p = 2.0 * np.fft.ifft(pad)
+    # |p|^2 is real, so g_-d = conj(g_d): keep d = 0 .. N-1 and double d > 0
+    g = np.fft.rfft(p.real**2 + p.imag**2)[:n] / (2 * n)
+    g0 = g[0].real
+    theta = (np.pi / half_length) * np.arange(n)
+    theta[0] = np.inf  # drops d = 0 from both sums
+    # at x = -L and x = L every e_d is 1, so G there needs no evaluation
+    g_end = 2.0 * float(np.sum(g.imag / theta))
+    ks = np.arange(np.floor(-half_length), np.ceil(half_length) + 1)
+    xs = np.clip(np.arange(ks[0] - 1, ks[-1] + 2), -half_length, half_length)
+    hx = 0.5 * g0 * xs**2 - 2.0 * _trig_sum(g / theta**2, 0, half_length, xs).real
+    # G terms have zero coefficients unless the point is clipped to +-L,
+    # where g0 x + g_end is exact
+    gx = g0 * xs + g_end
+    a, b, d = slice(None, -2), slice(1, -1), slice(2, None)
+    h = (hx[a] - 2.0 * hx[b] + hx[d] + 2.0 * gx[b] * (xs[b] - ks)
+         - gx[a] * (xs[a] - ks + 1.0) + gx[d] * (ks + 1.0 - xs[d]))
+    return ks.astype(np.int64), h
 
 
 # --- serialization ---
@@ -187,7 +256,10 @@ def save_field_csv(f: WaveField, path) -> None:
 
 
 def load_field_csv(path) -> WaveField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # a file without data rows is reported by the ValueError below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 3:
         raise ValueError(f"field CSV {path} needs x,re,im data rows")
     x = data[:, 0]

@@ -14,6 +14,12 @@ N_k^2 >= 4, neighbouring values differ by at most 1, w is 1-Lipschitz, and
 w(x) grows at most like N_0^2 + |x|.  The weighted norm ||f||^2 = int |f|^2 w
 is equivalent to the block sum over unit intervals sum_k N_k^2 ||chi_k f||^2
 with a smooth partition of unity chi_k.
+
+Because w is the sum of hats N_k^2 hat(x - k), the weighted norm over
+[-L, L) is the exact pairing sum_k N_k^2 h_k of the profile with the hat
+moments h_k of |f|^2 (``field.hat_moments``, for the trigonometric
+interpolant of f).  The moments depend on the field only, so one set serves
+every profile.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bump import raw_bump
-from .field import WaveField
+from .field import WaveField, hat_moments
 from .point_process import AtomicMeasure
 
 __all__ = [
@@ -119,46 +125,18 @@ def chi(x, k: int) -> np.ndarray:
     return out
 
 
-def _upsampled_abs2(f: WaveField, refinement: int) -> np.ndarray:
-    """|f|^2 sampled on the refinement-times-finer grid via zero-padded FFT
-    (exact for the trigonometric interpolant of f)."""
-    if refinement == 1:
-        v = f.values
-        return v.real**2 + v.imag**2
-    n = f.grid.n
-    fhat = np.fft.fft(f.values)
-    pad = np.zeros(n * refinement, dtype=np.complex128)
-    half = n // 2
-    pad[:half] = fhat[:half]
-    pad[-(half - 1):] = fhat[-(half - 1):]
-    # split the shared Nyquist bin symmetrically
-    pad[half] = 0.5 * fhat[half]
-    pad[-half] = 0.5 * fhat[half]
-    fine = np.fft.ifft(pad) * refinement
-    return fine.real**2 + fine.imag**2
-
-
-def _auto_refinement(n: int) -> int:
-    return max(1, min(32, (1 << 17) // n))
-
-
 def weighted_l2_norm(f: WaveField, mu: AtomicMeasure, *,
-                     profile: WeightProfile | None = None,
-                     refinement: int | None = None) -> float:
-    """Weighted norm ( int |f|^2 w(x; mu) dx )^(1/2) by periodic trapezoid.
+                     profile: WeightProfile | None = None) -> float:
+    """Weighted norm ( int_{-L}^{L} |p|^2 w(x; mu) dx )^(1/2) of the
+    trigonometric interpolant p of f, exact to roundoff.
 
-    |f|^2 is band-limit upsampled before quadrature so the kinks of the
-    piecewise-linear weight at the integers cost ~(dx/refinement)^2 instead of
-    dx^2; the default refinement targets ~1e5 quadrature nodes.
+    w = sum_k N_k^2 hat(x - k), so the integral is the pairing
+    sum_k N_k^2 h_k with the hat moments h_k of |p|^2 (``hat_moments``).
     """
     if profile is None:
         profile = weight_profile(mu)
-    r = _auto_refinement(f.grid.n) if refinement is None else max(1, int(refinement))
-    dens = _upsampled_abs2(f, r)
-    n_fine = f.grid.n * r
-    x_fine = -f.grid.half_length + (2.0 * f.grid.half_length / n_fine) * np.arange(n_fine)
-    w = profile.weight(x_fine)
-    return float(np.sqrt(np.sum(dens * w) * (f.grid.dx / r)))
+    ks, h = hat_moments(f)
+    return float(np.sqrt(profile.nk_squared(ks) @ h))
 
 
 def block_norm(f: WaveField, mu: AtomicMeasure, *,

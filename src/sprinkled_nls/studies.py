@@ -2,7 +2,9 @@
 
 Each study returns a StudyReport: a small table (one row per parameter
 value), fitted rates where a rate makes sense, and named pass/fail flags.
-Reports serialize to CSV (the table) and JSON (everything).
+Reports serialize to CSV (the table) and JSON (everything).  The study
+functions validate their own inputs and raise ConfigError (a ValueError) for
+a bad one, which the CLI reports as a configuration problem.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import numpy as np
 from . import rng as _rng
 from .concurrency import parallel_map
 from .constants import CALIBRATION
-from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, l2_norm,
-                    random_field, sobolev_norm)
+from .errors import ConfigError
+from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, hat_moments,
+                    l2_norm, random_field, sobolev_norm)
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import VARIANTS, check_resolution
 from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
@@ -145,12 +148,12 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     must be a multiple of that record interval.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ConfigError(f"variant must be one of {VARIANTS}")
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 3:
-        raise ValueError("eps ladder needs at least three values")
+        raise ConfigError("eps ladder needs at least three values")
     if any(abs(b - a / 2) > 1e-9 * a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("eps ladder must halve at every step")
+        raise ConfigError("eps ladder must halve at every step")
     solve_eps = sorted({e for e in ladder} | {e / 2 for e in ladder}, reverse=True)
     check_resolution(psi0.grid, min(solve_eps))
     profile = weight_profile(mu)
@@ -158,8 +161,8 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     rec_interval = params.record_every * params.dt
     n_intervals = params.t_final / rec_interval
     if abs(n_intervals - round(n_intervals)) > 1e-9:
-        raise ValueError("t_final must be a multiple of record_every * dt "
-                         "so all runs record at common times")
+        raise ConfigError("t_final must be a multiple of record_every * dt "
+                          "so all runs record at common times")
     eps_max = solve_eps[0]
 
     def run(eps: float):
@@ -230,9 +233,9 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     """
     deltas = [float(d) for d in deltas]
     if not deltas or any(d < 0 for d in deltas):
-        raise ValueError("deltas must be nonnegative")
+        raise ConfigError("deltas must be nonnegative")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
+        raise ConfigError("deltas must be strictly decreasing")
     profile = weight_profile(mu)
     g = random_field(psi0.grid, _rng.generator(seed))
     c_env = (CALIBRATION["stability_envelope_constant"]
@@ -312,17 +315,24 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     the default grid.
     """
     if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for stable statistics")
+        raise ConfigError("need at least 1000 samples for stable statistics")
+    if not intensity > 0:
+        raise ConfigError("intensity must be positive")
     if profiles is None:
         profiles = _default_profiles(Grid(32.0, 4096))
     if not profiles:
-        raise ValueError("need at least one field profile")
+        raise ConfigError("need at least one field profile")
     fields = list(profiles.values())
     if any(f.grid != fields[0].grid for f in fields[1:]):
-        raise ValueError("all profiles must share one grid")
+        raise ConfigError("all profiles must share one grid")
     grid = fields[0].grid
     names = list(profiles)
     denoms = np.array([l2_norm(profiles[k]) ** 2 for k in names])
+    # ||f||_{L^2_mu}^2 = sum_k N_k^2 h_k(f): the hat moments of each field
+    # are computed once and paired with every sampled profile
+    pairs = [hat_moments(profiles[k]) for k in names]
+    ks = pairs[0][0]
+    moments = np.array([h for _, h in pairs])
 
     n0sq = np.empty(n_samples)
     wsq = np.zeros((n_samples, len(names)))
@@ -330,9 +340,7 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
         mu = sample_poisson(window, intensity, _rng.substream_seed(seed, i))
         profile = weight_profile(mu)
         n0sq[i] = profile.nk_squared(0)
-        for j, k in enumerate(names):
-            wsq[i, j] = weighted_l2_norm(profiles[k], mu, profile=profile,
-                                         refinement=1) ** 2
+        wsq[i] = moments @ profile.nk_squared(ks)
 
     half = float(np.mean(n0sq[: n_samples // 2]))
     full = float(np.mean(n0sq))
@@ -380,7 +388,7 @@ def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     {10, 100, 1000} doing the same.
     """
     if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
+        raise ConfigError("need at least 1000 samples")
     heights = (0.5, 1.0, 2.0)
     phis = [smoothed_indicator(0.0, 1.0, height=h) for h in heights]
 

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +170,39 @@ def test_solve_accepts_every_width_the_library_accepts(tmp_path):
 def test_field_csv_too_short_exits_2(tmp_path, rows):
     field = tmp_path / "psi.csv"
     field.write_text("x,re,im\n" + rows)
-    assert run("solve", "--out", str(tmp_path / "x"), "--override",
-               "initial=file", "--override", f"field_file={field}") == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("solve", "--out", str(tmp_path / "x"), "--override",
+                   "initial=file", "--override", f"field_file={field}") == 2
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"window": 5, "atoms": []}',
+                                  '{"window": [-8, 8], "atoms": [[0, 1, 2]]}'])
+def test_malformed_atoms_file_exits_2(tmp_path, capsys, text):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(text)
+    assert run("sample", "--out", str(tmp_path / "x"), "--override",
+               "measure=file", "--override", f"atoms_file={atoms}") == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch,
+                                                    capsys):
+    """A ValueError raised inside the computation is a bug: it propagates
+    instead of being reported as bad configuration."""
+    import sprinkled_nls.solver as solver
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(solver, "sobolev_norm", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run("solve", "--out", str(tmp_path / "x"), "--override",
+            "half_length=8", "--override", "n_points=512", "--override",
+            "measure=none", "--override", "eps=0.4", "--override",
+            "t_final=0.01")
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_default_study_config_passes_resolution_checks():

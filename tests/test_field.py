@@ -8,6 +8,7 @@ from sprinkled_nls import (Grid, GriddedDensity, WaveField, evaluate_at,
                            random_field, save_field_bin, save_field_csv,
                            sobolev_norm, sup_norm)
 from sprinkled_nls import rng
+from sprinkled_nls.field import hat_moments
 
 # frozen: integral of exp(-2 x^2) is sqrt(pi/2)
 GAUSS_MASS = 1.2533141373155003
@@ -81,6 +82,30 @@ def test_evaluate_at_reproduces_grid_nodes(gauss):
     pts = gauss.grid.x[idx]
     vals = evaluate_at(gauss, pts)
     np.testing.assert_allclose(vals, gauss.values[idx], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 8, 512, 4096])
+def test_evaluate_at_matches_direct_sum(n):
+    """The factorized phases agree with the direct exp(i xi (x + L)) sum;
+    8 and 512 are odd powers of two, so the blocks are not square."""
+    grid = Grid(32.0, n)
+    f = random_field(grid, rng.generator(n))
+    pts = np.random.default_rng(n).uniform(-grid.half_length, grid.half_length, 71)
+    direct = np.exp(1j * np.outer(pts + grid.half_length, grid.xi)) @ (
+        np.fft.fft(f.values) / n)
+    np.testing.assert_allclose(evaluate_at(f, pts), direct, rtol=0,
+                               atol=1e-13 * np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("half_length", [7.0, 7.6])
+def test_hat_moments_partition_of_unity(half_length):
+    """The hats sum to one on [-L, L), so the moments add up to the mass;
+    every k whose hat meets the domain is listed."""
+    f = random_field(Grid(half_length, 256), rng.generator(4))
+    ks, h = hat_moments(f)
+    assert ks[0] == np.floor(-half_length) and ks[-1] == np.ceil(half_length)
+    assert np.sum(h) == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
+    assert np.all(h > -1e-15)
 
 
 def test_free_propagator_gaussian_closed_form(fine_grid):

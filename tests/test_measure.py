@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sprinkled_nls import AtomicMeasure, l2_norm, sample_poisson
+from sprinkled_nls import (AtomicMeasure, Grid, evaluate_at, l2_norm,
+                           random_field, sample_poisson)
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.measure import (block_norm, chi, save_profile_csv,
                                    weight_profile, weighted_l2_norm)
@@ -177,6 +178,32 @@ def test_block_and_weighted_norms_equivalent(gauss, seed):
     mu = sample_poisson((-32.0, 32.0), 1.0, seed)
     ratio = block_norm(gauss, mu) / weighted_l2_norm(gauss, mu)
     assert lo <= ratio <= hi
+
+
+def _gauss_legendre_weighted_sq(f, profile, order=24):
+    """int_{-L}^{L} |p|^2 w by Gauss-Legendre on every piece between the
+    integers and +-L, where w is linear."""
+    L = f.grid.half_length
+    edges = np.unique(np.concatenate(
+        ([-L, L], np.arange(np.ceil(-L), np.floor(L) + 1))))
+    t, wts = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * t).ravel()
+    integrand = np.abs(evaluate_at(f, x)) ** 2 * profile.weight(x)
+    return float(np.sum((half[:, None] * wts).ravel() * integrand))
+
+
+@pytest.mark.parametrize("half_length, n, seed",
+                         [(10.3, 1024, 1), (32.0, 4096, 2)])
+def test_weighted_norm_matches_gauss_legendre(half_length, n, seed):
+    """Exact to roundoff, also for a non-integer L whose integers are not
+    grid nodes."""
+    grid = Grid(half_length, n)
+    f = random_field(grid, seed)
+    mu = sample_poisson((-half_length, half_length), 1.0, seed)
+    assert mu.count > 5
+    want = _gauss_legendre_weighted_sq(f, weight_profile(mu))
+    assert weighted_l2_norm(f, mu) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 def test_weighted_norm_accepts_precomputed_profile(gauss, unit_atom):

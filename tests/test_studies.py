@@ -7,6 +7,7 @@ import pytest
 from sprinkled_nls import (AtomicMeasure, Grid, SolverParams, gaussian_field,
                            sample_poisson)
 from sprinkled_nls.constants import CALIBRATION
+from sprinkled_nls.measure import weighted_l2_norm
 from sprinkled_nls.rng import substream_seed
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
                                    laplace_study, moment_study,
@@ -159,6 +160,19 @@ def test_moment_window_insensitive():
     b = moment_study({"f": f}, 2000, 5, window=(-32.0, 32.0))
     ra, rb = a.columns["ratio"][0], b.columns["ratio"][0]
     assert abs(ra - rb) < 0.05 * max(ra, rb)
+
+
+def test_moment_pairing_equals_weighted_norm():
+    """The study pairs each field's hat moments with every sampled profile;
+    that is the squared weighted norm of the field against each sample."""
+    f = gaussian_field(Grid(16.0, 512), sigma=2.0, center=1.5)
+    window, seed, n = (-16.0, 16.0), 3, 1000
+    rep = moment_study({"f": f}, n, seed, window=window)
+    direct = np.mean([weighted_l2_norm(
+        f, sample_poisson(window, 1.0, substream_seed(seed, i))) ** 2
+        for i in range(n)])
+    assert rep.columns["mean_weighted_squared"][0] == pytest.approx(
+        direct, rel=1e-14)
 
 
 def test_laplace_study_smoke():
