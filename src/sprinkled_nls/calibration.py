@@ -1,12 +1,15 @@
 """Recompute the frozen calibration constants from scratch.
 
 Run as ``python3 -m sprinkled_nls.calibration`` (add ``--fast`` for a cheap
-smoke pass).  Each measurement prints next to the frozen value so drift is
-visible; re-freeze by editing the constants module, rounding outward.
+smoke pass).  Each measurement prints next to the frozen value, and the run
+exits 1 if any measurement falls outside its frozen value: a scalar is an
+upper bound, a (lo, hi) pair a bracket that the measured range must lie in.
+Re-freeze by editing the constants module, rounding outward.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -182,7 +185,9 @@ def measure_cauchy_ratio() -> float:
     return max(r for r in rep.columns["ratio"] if np.isfinite(r))
 
 
-def main(fast: bool = False) -> dict:
+def measure_all(fast: bool = False) -> dict:
+    """Every calibrated quantity, keyed like CALIBRATION; brackets are
+    measured (lo, hi) ranges."""
     scale = 10 if fast else 1
     measured: dict[str, object] = {}
     measured["sup_interpolation_constant"] = measure_sup_interpolation(200 // scale)
@@ -199,21 +204,38 @@ def main(fast: bool = False) -> dict:
     measured["moment_ratio_bound"] = moments["moment_ratio_max"]
     measured["moment_ratio_bound_p2"] = moments["moment_ratio_p2_max"]
     measured["cauchy_ratio_bound"] = measure_cauchy_ratio()
+    return measured
 
+
+def _inside(val, frozen) -> bool:
+    """val <= a scalar frozen bound, or a (lo, hi) val inside a bracket."""
+    if isinstance(frozen, tuple):
+        return frozen[0] <= val[0] and val[1] <= frozen[1]
+    return val <= frozen
+
+
+def main(fast: bool = False) -> int:
+    """Print every measurement next to its frozen value; return 1 if any
+    falls outside it, else 0."""
+    measured = measure_all(fast)
+    bad = [k for k, v in measured.items() if not _inside(v, CALIBRATION[k])]
     width = max(len(k) for k in measured)
     print(f"{'constant':<{width}}  {'measured':>24}  frozen")
     for key, val in measured.items():
-        frozen = CALIBRATION.get(key)
         if isinstance(val, tuple):
             shown = "(" + ", ".join(f"{v:.6g}" for v in val) + ")"
         else:
             shown = f"{val:.6g}"
-        print(f"{key:<{width}}  {shown:>24}  {frozen}")
-    return measured
+        mark = "  OUTSIDE" if key in bad else ""
+        print(f"{key:<{width}}  {shown:>24}  {CALIBRATION[key]}{mark}")
+    if bad:
+        print("outside their frozen values: " + ", ".join(bad), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fast", action="store_true",
                     help="reduced sample counts for a smoke pass")
-    main(ap.parse_args().fast)
+    sys.exit(main(ap.parse_args().fast))

@@ -44,19 +44,12 @@ def kinetic_energy(f: WaveField) -> float:
                  * f.grid.dx / f.grid.n)
 
 
-def energy(f: WaveField, potential) -> float:
-    """Kinetic part plus (1/2) int |psi|^4 against the interaction term.
-
-    ``potential`` may be a gridded density (mollified route) or an atomic
-    measure, in which case the quartic term is the exact atom sum that the
-    mollified integrals converge to.
-    """
-    if isinstance(potential, GriddedDensity):
-        v = f.values
-        dens2 = v.real**2 + v.imag**2
-        quartic = 0.5 * float(np.sum(dens2 * dens2 * potential.values) * f.grid.dx)
-        return kinetic_energy(f) + quartic
-    return atomic_energy(f, potential)
+def energy(f: WaveField, potential: GriddedDensity) -> float:
+    """Kinetic part plus (1/2) int |psi|^4 V against the gridded potential."""
+    v = f.values
+    dens2 = v.real**2 + v.imag**2
+    quartic = 0.5 * float(np.sum(dens2 * dens2 * potential.values) * f.grid.dx)
+    return kinetic_energy(f) + quartic
 
 
 def quartic_measure_integral(f: WaveField, mu: AtomicMeasure) -> float:
@@ -89,15 +82,14 @@ def tail_norms(states, lam: float) -> np.ndarray:
     return np.array([l2_norm(f) for f in _tail_parts(states, lam)])
 
 
-def tail_report(traj, lam: float, mu=None, growth_constant: float | None = None) -> dict:
+def tail_report(traj, lam: float, mu=None) -> dict:
     """Tail norms along a trajectory plus a linear-growth verification flag.
 
     The flag checks max_t tail(t)^2 <= tail(0)^2 + c * lam * T * max_t h1(t)^2
-    with the frozen calibration constant unless one is supplied.  When a
-    measure is passed the weighted tail norms are reported alongside the
-    plain ones.
+    with the frozen calibration constant c.  When a measure is passed the
+    weighted tail norms are reported alongside the plain ones.
     """
-    c = CALIBRATION["tail_growth_constant"] if growth_constant is None else growth_constant
+    c = CALIBRATION["tail_growth_constant"]
     parts = _tail_parts(traj.states, lam)
     tails = np.array([l2_norm(f) for f in parts])
     t_final = float(traj.times[-1])

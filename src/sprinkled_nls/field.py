@@ -31,7 +31,6 @@ __all__ = [
     "free_propagator",
     "evaluate_at",
     "hat_moments",
-    "save_field_csv",
     "load_field_csv",
     "save_field_bin",
     "load_field_bin",
@@ -118,12 +117,10 @@ def gaussian_field(grid: Grid, sigma: float = 1.0, center: float = 0.0,
     return WaveField(grid, amplitude * np.exp(-u * u).astype(np.complex128))
 
 
-def random_field(grid: Grid, seed_rng, spectral_width: float = 3.0) -> WaveField:
-    """Seeded random smooth field of unit H^1 norm: Gaussian spectral
+def random_field(grid: Grid, gen: np.random.Generator,
+                 spectral_width: float = 3.0) -> WaveField:
+    """Random smooth field of unit H^1 norm drawn from gen: Gaussian spectral
     amplitudes with an exp(-(xi/width)^2) envelope."""
-    from . import rng as _rng
-
-    gen = seed_rng if isinstance(seed_rng, np.random.Generator) else _rng.generator(seed_rng)
     envelope = np.exp(-((grid.xi / spectral_width) ** 2))
     coeff = (gen.standard_normal(grid.n) + 1j * gen.standard_normal(grid.n)) * envelope
     f = WaveField(grid, np.fft.ifft(coeff))
@@ -246,13 +243,6 @@ def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
 # --- serialization ---
 
 _BIN_MAGIC = b"SNLSFLD1"
-
-
-def save_field_csv(f: WaveField, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(f.grid.x, f.values):
-            fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def load_field_csv(path) -> WaveField:

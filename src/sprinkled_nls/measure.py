@@ -83,15 +83,11 @@ class WeightProfile:
 
 
 def _occupied_interval_masses(mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and masses of unit intervals carrying positive mass."""
-    masses: dict[int, float] = {}
-    ls = np.floor(mu.positions + 0.5).astype(np.int64)
-    for l, mass in zip(ls, mu.masses):
-        masses[int(l)] = masses.get(int(l), 0.0) + float(mass)
-    if not masses:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    ls = np.array(sorted(masses), dtype=np.int64)
-    return ls, np.array([masses[int(l)] for l in ls])
+    """Indices and masses of unit intervals carrying positive mass; each
+    interval's atoms are added in position order."""
+    ls, inverse = np.unique(np.floor(mu.positions + 0.5).astype(np.int64),
+                            return_inverse=True)
+    return ls, np.bincount(inverse, weights=mu.masses)
 
 
 def weight_profile(mu: AtomicMeasure) -> WeightProfile:

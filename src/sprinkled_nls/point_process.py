@@ -265,5 +265,14 @@ def load_atoms_json(path) -> AtomicMeasure:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not {"window", "atoms"} <= doc.keys():
         raise ValueError(f'atoms file {path} needs "window" and "atoms" keys')
-    atoms = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
-    return AtomicMeasure(tuple(doc["window"]), atoms[:, 0], atoms[:, 1])
+    window = tuple(doc["window"])
+    if len(window) != 2:
+        raise ValueError(f'atoms file {path}: "window" needs two entries, '
+                         "lo and hi")
+    atoms = np.asarray(doc["atoms"], dtype=float)
+    if atoms.shape == (0,):  # "atoms": [] is the empty measure
+        atoms = atoms.reshape(0, 2)
+    if atoms.ndim != 2 or atoms.shape[1] != 2:
+        raise ValueError(f'atoms file {path}: each of "atoms" must be a '
+                         "[position, mass] pair")
+    return AtomicMeasure(window, atoms[:, 0], atoms[:, 1])

@@ -14,14 +14,14 @@ method-of-lines system serves as an independent reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import energy, mass, quartic_measure_integral
 from .errors import BlowUpError, OracleInstabilityError
-from .field import Grid, GriddedDensity, WaveField, l2_norm, save_field_bin, sobolev_norm, sup_norm
+from .field import Grid, GriddedDensity, WaveField, save_field_bin, sobolev_norm, sup_norm
 from .measure import WeightProfile, weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .point_process import AtomicMeasure
@@ -71,39 +71,32 @@ class Trajectory:
     times: np.ndarray
     states: list[WaveField]
     diagnostics: dict[str, np.ndarray]
-    metadata: dict = dc_field(default_factory=dict)
 
 
 def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
-            potential: GriddedDensity, mu, profile: WeightProfile | None,
-            record_quartic: bool) -> WaveField:
+            potential: GriddedDensity, mu: AtomicMeasure,
+            profile: WeightProfile, record_quartic: bool) -> WaveField:
     state = WaveField(grid, v)
     traj_diag["t"].append(t)
     traj_diag["mass"].append(mass(state))
     traj_diag["energy"].append(energy(state, potential))
     traj_diag["h1"].append(sobolev_norm(state, 1.0))
-    if profile is not None:
-        traj_diag["l2mu"].append(weighted_l2_norm(state, mu, profile=profile))
-    else:
-        # empty measure: weight is identically 4
-        traj_diag["l2mu"].append(2.0 * l2_norm(state))
+    traj_diag["l2mu"].append(weighted_l2_norm(state, mu, profile=profile))
     traj_diag["sup"].append(sup_norm(state))
-    if record_quartic and mu is not None:
-        traj_diag["quartic"].append(quartic_measure_integral(state, mu))
-    else:
-        traj_diag["quartic"].append(np.nan)
+    traj_diag["quartic"].append(quartic_measure_integral(state, mu)
+                                if record_quartic else np.nan)
     return state
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
-           *, measure: AtomicMeasure | None = None,
-           profile: WeightProfile | None = None,
-           metadata: dict | None = None) -> Trajectory:
+           *, measure: AtomicMeasure,
+           profile: WeightProfile | None = None) -> Trajectory:
     """Strang-split evolution with per-record diagnostics.
 
     Records land at step 0, every record_every steps, and the final step.
-    If a measure is given, the weighted norm (and, when record_quartic is on,
-    the quartic measure integral) is recorded against it.
+    The weighted norm (and, when record_quartic is on, the quartic measure
+    integral) is recorded against the measure; an empty measure gives the
+    baseline weight 4.
     """
     if potential.grid != psi0.grid:
         raise ValueError("potential and initial data must share a grid")
@@ -111,7 +104,7 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     dt = params.dt
     half = np.exp(-0.5j * dt * grid.xi**2)
     vpot = potential.values
-    if measure is not None and profile is None:
+    if profile is None:
         profile = weight_profile(measure)
 
     diag = {k: [] for k in (*DIAGNOSTIC_COLUMNS, "quartic")}
@@ -131,8 +124,7 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
                                   profile, params.record_quartic))
     times = np.asarray(diag["t"])
     diagnostics = {k: np.asarray(vs) for k, vs in diag.items()}
-    return Trajectory(grid, params, times, states, diagnostics,
-                      dict(metadata or {}))
+    return Trajectory(grid, params, times, states, diagnostics)
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
@@ -140,8 +132,7 @@ def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
                        profile: WeightProfile | None = None) -> Trajectory:
     """Evolution under the width-eps potential built from an atomic measure."""
     potential = truncated_potential(mu, psi0.grid, eps, variant)
-    return evolve(psi0, potential, params, measure=mu, profile=profile,
-                  metadata={"eps": eps, "variant": variant})
+    return evolve(psi0, potential, params, measure=mu, profile=profile)
 
 
 def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .concurrency import parallel_map
 from .constants import CALIBRATION
 from .errors import ConfigError
 from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, hat_moments,
@@ -174,7 +173,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
                              record_quartic=params.record_quartic)
         return evolve_regularized(psi0, mu, eps, local, variant, profile=profile)
 
-    runs = dict(zip(solve_eps, parallel_map(run, solve_eps)))
+    runs = {eps: run(eps) for eps in solve_eps}
 
     d_h1, d_l2mu, d_sum = [], [], []
     for eps in ladder:
@@ -250,7 +249,7 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
         return evolve_regularized(start, mu, eps, params, variant,
                                   profile=profile)
 
-    runs = parallel_map(run, jobs)
+    runs = [run(job) for job in jobs]
     fwd, bwd = runs[: len(starts)], runs[len(starts):]
 
     t_final = float(fwd[0].times[-1])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sprinkled_nls import AtomicMeasure, Grid, gaussian_field
+from sprinkled_nls.field import Grid, gaussian_field
+from sprinkled_nls.point_process import AtomicMeasure
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")

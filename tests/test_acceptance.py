@@ -9,16 +9,16 @@ import time
 
 import numpy as np
 
-from sprinkled_nls import (AtomicMeasure, Grid, SolverParams, WaveField,
-                           evolve_regularized, gaussian_field, sample_poisson)
 from sprinkled_nls import rng as _rng
 from sprinkled_nls.cli import main as cli_main
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.diagnostics import quartic_measure_integral
-from sprinkled_nls.field import l2_norm, random_field
+from sprinkled_nls.field import (Grid, WaveField, gaussian_field, l2_norm,
+                                 random_field)
 from sprinkled_nls.measure import weight_profile
 from sprinkled_nls.mollify import truncated_potential
-from sprinkled_nls.solver import oracle_evolve
+from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
+from sprinkled_nls.solver import SolverParams, evolve_regularized, oracle_evolve
 from sprinkled_nls.studies import (eps_convergence_study, laplace_study,
                                    moment_study, stability_study)
 

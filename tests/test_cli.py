@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sprinkled_nls import Grid, check_resolution
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls.field import _BIN_MAGIC
+from sprinkled_nls.field import _BIN_MAGIC, Grid
+from sprinkled_nls.mollify import check_resolution
 
 
 def run(*argv):
@@ -177,8 +177,14 @@ def test_field_csv_too_short_exits_2(tmp_path, rows):
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"window": 5, "atoms": []}',
-                                  '{"window": [-8, 8], "atoms": [[0, 1, 2]]}'])
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"window": 5, "atoms": []}',
+    '{"window": [-8, 8], "atoms": [[0, 1, 2]]}',
+    '{"window": [-8, 8], "atoms": [[0.1, 1.0, 0.2, 2.0]]}',
+    '{"window": [-8, 8], "atoms": [0.1, 1.0]}',
+    '{"window": [-1, 1, 5], "atoms": []}',
+])
 def test_malformed_atoms_file_exits_2(tmp_path, capsys, text):
     atoms = tmp_path / "atoms.json"
     atoms.write_text(text)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import (AtomicMeasure, Grid, GriddedDensity, SolverParams,
-                           WaveField, evolve_regularized, free_propagator,
-                           gaussian_field, sample_comb)
 from sprinkled_nls.diagnostics import (atomic_energy, energy, kinetic_energy,
                                        mass, quartic_measure_integral,
                                        tail_norms, tail_report)
+from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
+                                 free_propagator, gaussian_field)
 from sprinkled_nls.mollify import truncated_potential
+from sprinkled_nls.point_process import AtomicMeasure, sample_comb
+from sprinkled_nls.solver import SolverParams, evolve_regularized
 
 # frozen: int exp(-2x^2) = sqrt(pi/2), (1/2) int |d/dx exp(-x^2)|^2 = sqrt(pi/8)
 GAUSS_MASS = 1.2533141373155003
@@ -31,11 +32,10 @@ def test_energy_uniform_density(gauss, fine_grid):
     assert energy(gauss, pot) == pytest.approx(expect, rel=1e-13)
 
 
-def test_energy_accepts_measure_directly(gauss, unit_atom):
-    assert energy(gauss, unit_atom) == atomic_energy(gauss, unit_atom)
+def test_atomic_energy_unit_atom(gauss, unit_atom):
     # unit atom at the origin: kinetic + |f(0)|^4 / 2
-    assert energy(gauss, unit_atom) == pytest.approx(GAUSS_KINETIC + 0.5,
-                                                     rel=1e-12)
+    assert atomic_energy(gauss, unit_atom) == pytest.approx(
+        GAUSS_KINETIC + 0.5, rel=1e-12)
 
 
 def test_quartic_atom_sum(gauss):
@@ -59,7 +59,7 @@ def test_energy_gap_shrinks_with_mollification_width(gauss, fine_grid):
     """energy(f, V_eps) converges to the atomic energy monotonically."""
     mu = AtomicMeasure((-8.0, 8.0), np.array([-2.3, 0.0, 1.7]),
                        np.array([1.0, 2.0, 1.0]))
-    target = energy(gauss, mu)
+    target = atomic_energy(gauss, mu)
     gaps = [abs(energy(gauss, truncated_potential(mu, fine_grid, eps,
                                                   "mollified_only")) - target)
             for eps in (0.4, 0.2, 0.1, 0.05)]
@@ -110,13 +110,3 @@ def test_tail_report_weighted_column():
     rep = tail_report(traj, 0.5, mu=comb)
     assert "tails_weighted" in rep
     assert np.all(rep["tails_weighted"] >= 2.0 * rep["tails"] - 1e-12)
-
-
-def test_tail_report_growth_constant_override():
-    grid = Grid(32.0, 2048)
-    comb = sample_comb((-20.0, 20.0))
-    traj = evolve_regularized(gaussian_field(grid), comb, 0.2,
-                              SolverParams(dt=1e-2, t_final=0.1,
-                                           record_every=10))
-    generous = tail_report(traj, 0.5, growth_constant=1e6)
-    assert generous["within_bound"]

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sprinkled_nls import (AtomicMeasure, Grid, evaluate_at, l2_norm,
-                           random_field, sample_poisson)
+from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.measure import (block_norm, chi, save_profile_csv,
-                                   weight_profile, weighted_l2_norm)
+from sprinkled_nls.field import Grid, evaluate_at, l2_norm, random_field
+from sprinkled_nls.measure import (_occupied_interval_masses, block_norm, chi,
+                                   save_profile_csv, weight_profile,
+                                   weighted_l2_norm)
+from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 
 # frozen quad of exp(-2x^2) * max(4, 5-|x|); the single-atom weight is exact
 GAUSS_UNIT_ATOM_WSQ = 5.777212204202916
@@ -28,11 +30,16 @@ def test_interval_mass_half_open():
 
 
 def test_interval_mass_sums_atoms():
-    """All three atoms lie in I_0 = [-1/2, 1/2) and pool to mu(I_0) = 3.5."""
+    """All three atoms lie in I_0 = [-1/2, 1/2) and pool to mu(I_0), added
+    in position order: 3.5, or exactly (0.1 + 0.2) + 0.3 for masses whose
+    floating-point sum depends on the order."""
     mu = atoms(-0.4, 0.1, 0.3, masses=[1.0, 2.0, 0.5])
     np.testing.assert_array_equal(
         weight_profile(mu).nk_squared(np.array([0, -1])),
         [4.0 + 3.5**2, 4.0 + 3.5**2 - 1.0])
+    light = atoms(-0.4, 0.1, 0.3, masses=[0.1, 0.2, 0.3])
+    assert _occupied_interval_masses(light)[1].tolist() == [(0.1 + 0.2) + 0.3]
+    assert weight_profile(light).nk_squared(0) == 4.0 + ((0.1 + 0.2) + 0.3)**2
 
 
 # --- weight law ---
@@ -85,6 +92,20 @@ def test_profile_extends_analytically():
 finite_atoms = st.lists(
     st.tuples(st.floats(-8.0, 8.0), st.floats(0.1, 2.5)),
     min_size=1, max_size=6)
+
+
+@given(finite_atoms)
+def test_interval_masses_match_per_atom_loop(pairs):
+    """The pooled masses equal an atom-by-atom sum in position order, bit for
+    bit."""
+    mu = atoms(*[p for p, _ in pairs], masses=[m for _, m in pairs])
+    pooled: dict[int, float] = {}
+    for y, m in zip(mu.positions, mu.masses):
+        k = int(np.floor(y + 0.5))
+        pooled[k] = pooled.get(k, 0.0) + float(m)
+    ls, lmass = _occupied_interval_masses(mu)
+    assert ls.tolist() == sorted(pooled)
+    assert lmass.tolist() == [pooled[k] for k in sorted(pooled)]
 
 
 @given(finite_atoms)
@@ -199,7 +220,7 @@ def test_weighted_norm_matches_gauss_legendre(half_length, n, seed):
     """Exact to roundoff, also for a non-integer L whose integers are not
     grid nodes."""
     grid = Grid(half_length, n)
-    f = random_field(grid, seed)
+    f = random_field(grid, rng.generator(seed))
     mu = sample_poisson((-half_length, half_length), 1.0, seed)
     assert mu.count > 5
     want = _gauss_legendre_weighted_sq(f, weight_profile(mu))

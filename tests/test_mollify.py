@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import AtomicMeasure, Grid, sample_poisson
 from sprinkled_nls.bump import cutoff
 from sprinkled_nls.errors import ResolutionError
+from sprinkled_nls.field import Grid
 from sprinkled_nls.mollify import (VARIANTS, check_resolution,
                                    mollified_density, truncated_potential)
+from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 
 
 def one_atom(y, mass=1.0, window=(-16.0, 16.0)):

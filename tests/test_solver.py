@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import (AtomicMeasure, Grid, GriddedDensity, SolverParams,
-                           WaveField, evolve, evolve_regularized,
-                           free_propagator, gaussian_field, l2_norm,
-                           oracle_evolve, random_field, sample_comb,
-                           save_snapshots, save_trajectory_csv)
 from sprinkled_nls import rng
 from sprinkled_nls.errors import BlowUpError, OracleInstabilityError
+from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
+                                 free_propagator, gaussian_field, l2_norm,
+                                 load_field_bin, random_field)
 from sprinkled_nls.mollify import truncated_potential
+from sprinkled_nls.point_process import AtomicMeasure
+from sprinkled_nls.solver import (SolverParams, evolve, evolve_regularized,
+                                  oracle_evolve, save_snapshots,
+                                  save_trajectory_csv)
 
 
 def zero_potential(grid):
     return GriddedDensity(grid, np.zeros(grid.n))
+
+
+def no_atoms(grid):
+    return AtomicMeasure((-grid.half_length, grid.half_length), np.empty(0),
+                         np.empty(0))
 
 
 def test_solver_params_validation():
@@ -32,7 +39,7 @@ def test_zero_potential_matches_free_propagator(grid):
     """With V = 0 the split flow is the exact free flow, step by step."""
     psi0 = random_field(grid, rng.generator(1))
     params = SolverParams(dt=1e-2, t_final=0.1, record_every=10)
-    traj = evolve(psi0, zero_potential(grid), params)
+    traj = evolve(psi0, zero_potential(grid), params, measure=no_atoms(grid))
     exact = free_propagator(psi0, 0.1)
     err = l2_norm(WaveField(grid, traj.states[-1].values - exact.values))
     assert err < 1e-13
@@ -77,7 +84,8 @@ def test_splitting_is_second_order(grid):
 
 def test_record_schedule(grid):
     params = SolverParams(dt=1e-2, t_final=0.1, record_every=3)
-    traj = evolve(gaussian_field(grid), zero_potential(grid), params)
+    traj = evolve(gaussian_field(grid), zero_potential(grid), params,
+                  measure=no_atoms(grid))
     # records at steps 0, 3, 6, 9 and the final step 10
     np.testing.assert_allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1],
                                rtol=0, atol=1e-15)
@@ -97,18 +105,11 @@ def test_quartic_recording_toggle(grid):
     assert np.all(np.isnan(off.diagnostics["quartic"]))
 
 
-def test_evolve_regularized_metadata(grid):
-    mu = AtomicMeasure((-8.0, 8.0), np.array([0.0]), np.array([1.0]))
-    traj = evolve_regularized(gaussian_field(grid), mu, 0.25,
-                              SolverParams(dt=1e-2, t_final=0.02))
-    assert traj.metadata["eps"] == 0.25
-    assert traj.metadata["variant"] == "fully_truncated"
-
-
 def test_blow_up_detected(grid):
     bad = WaveField(grid, np.full(grid.n, np.nan, dtype=np.complex128))
     with pytest.raises(BlowUpError) as info:
-        evolve(bad, zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1))
+        evolve(bad, zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1),
+               measure=no_atoms(grid))
     assert info.value.step == 1
 
 
@@ -123,7 +124,7 @@ def test_oracle_agrees_with_split_solver():
     pot = truncated_potential(mu, grid, 0.4, "mollified_only")
     psi0 = gaussian_field(grid)
     params = SolverParams(dt=2e-5, t_final=0.05, record_every=2500)
-    split = evolve(psi0, pot, params)
+    split = evolve(psi0, pot, params, measure=mu)
     ref = oracle_evolve(psi0, pot, 0.05, dt=grid.dx**2 / 64.0)
     err = l2_norm(WaveField(grid, split.states[-1].values - ref.values))
     assert err < 1e-6
@@ -150,10 +151,9 @@ def test_trajectory_csv_layout(tmp_path, grid):
 
 
 def test_snapshots_round_trip(tmp_path, grid):
-    from sprinkled_nls import load_field_bin
-
     traj = evolve(gaussian_field(grid), zero_potential(grid),
-                  SolverParams(dt=1e-2, t_final=0.03, record_every=1))
+                  SolverParams(dt=1e-2, t_final=0.03, record_every=1),
+                  measure=no_atoms(grid))
     names = save_snapshots(traj, tmp_path / "snaps")
     assert names == [f"state_{i:06d}.bin" for i in range(len(traj.states))]
     mid = load_field_bin(tmp_path / "snaps" / names[1])

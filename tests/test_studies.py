@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from sprinkled_nls import (AtomicMeasure, Grid, SolverParams, gaussian_field,
-                           sample_poisson)
 from sprinkled_nls.constants import CALIBRATION
+from sprinkled_nls.field import Grid, gaussian_field
 from sprinkled_nls.measure import weighted_l2_norm
+from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import substream_seed
+from sprinkled_nls.solver import SolverParams
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
                                    laplace_study, moment_study,
                                    save_report_csv, save_report_json,
