@@ -82,8 +82,7 @@ def measure_norm_equivalence(n_cases: int = 60) -> tuple[float, float]:
         profile = weight_profile(mu)
         for width in (1.0, 4.0):
             f = random_field(grid, gen, spectral_width=width)
-            ratio = (block_norm(f, mu, profile=profile)
-                     / weighted_l2_norm(f, mu, profile=profile)) ** 2
+            ratio = (block_norm(f, profile) / weighted_l2_norm(f, profile)) ** 2
             lo, hi = min(lo, ratio), max(hi, ratio)
     return lo, hi
 
@@ -149,7 +148,7 @@ def measure_stability_envelope() -> float:
         params = SolverParams(dt=1e-3, t_final=t_final, record_every=50,
                               record_quartic=False)
         rep = stability_study(psi0, single, 0.1, (1e-2, 1e-3, 1e-4), params,
-                              seed, envelope_constant=1.0)
+                              seed)
         for r, k in zip(rep.columns["r"], rep.columns["k"]):
             a = k**2 * (1 + k**2) * t_final**2
             c_lo, c_hi = 1e-12, 10.0

@@ -9,6 +9,7 @@ integrands.  The Parseval-normalized spectral form of the Sobolev norm is
 """
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -103,9 +104,6 @@ class GriddedDensity:
         if np.any(v < 0):
             raise ValueError("density values must be non-negative")
         object.__setattr__(self, "values", _readonly(v.copy()))
-
-    def integral(self) -> float:
-        return float(np.sum(self.values) * self.grid.dx)
 
 
 def gaussian_field(grid: Grid, sigma: float = 1.0, center: float = 0.0,
@@ -280,6 +278,9 @@ def load_field_bin(path) -> WaveField:
         if len(header) != 16:
             raise ValueError(f"field binary file {path} ends inside its header")
         half_length, n = struct.unpack("<dQ", header)
+        if 16 * n > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"field binary file {path} holds fewer than the "
+                             f"{n} values its header declares")
         raw = fh.read(16 * n)
     values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     return WaveField(Grid(half_length, int(n)), values)

@@ -121,25 +121,19 @@ def chi(x, k: int) -> np.ndarray:
     return out
 
 
-def weighted_l2_norm(f: WaveField, mu: AtomicMeasure, *,
-                     profile: WeightProfile | None = None) -> float:
-    """Weighted norm ( int_{-L}^{L} |p|^2 w(x; mu) dx )^(1/2) of the
-    trigonometric interpolant p of f, exact to roundoff.
+def weighted_l2_norm(f: WaveField, profile: WeightProfile) -> float:
+    """Weighted norm ( int_{-L}^{L} |p|^2 w dx )^(1/2) of the trigonometric
+    interpolant p of f against the profile's weight w, exact to roundoff.
 
     w = sum_k N_k^2 hat(x - k), so the integral is the pairing
     sum_k N_k^2 h_k with the hat moments h_k of |p|^2 (``hat_moments``).
     """
-    if profile is None:
-        profile = weight_profile(mu)
     ks, h = hat_moments(f)
     return float(np.sqrt(profile.nk_squared(ks) @ h))
 
 
-def block_norm(f: WaveField, mu: AtomicMeasure, *,
-               profile: WeightProfile | None = None) -> float:
+def block_norm(f: WaveField, profile: WeightProfile) -> float:
     """( sum_k N_k^2 ||chi_k f||_{L^2}^2 )^(1/2) over the grid (plus margin)."""
-    if profile is None:
-        profile = weight_profile(mu)
     g = f.grid
     v2 = f.values.real**2 + f.values.imag**2
     total = 0.0

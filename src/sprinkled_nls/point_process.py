@@ -72,9 +72,6 @@ class AtomicMeasure:
     def count(self) -> int:
         return int(self.positions.size)
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -98,27 +95,29 @@ class TestFunction:
         return out
 
 
-def smoothed_indicator(a: float, b: float, height: float = 1.0,
-                       ramp: float = 0.05) -> TestFunction:
+RAMP = 0.05
+
+
+def smoothed_indicator(a: float, b: float, height: float = 1.0) -> TestFunction:
     """Indicator of [a, b] at the given height with linear edge ramps.
 
-    The transition zones have full width `ramp` and are centered on the edges,
+    The transition zones have full width RAMP and are centered on the edges,
     so the integral equals height*(b-a) exactly and the support is
-    [a - ramp/2, b + ramp/2].
+    [a - RAMP/2, b + RAMP/2].
     """
     if not (a < b):
         raise ValueError("need a < b")
-    if height <= 0 or ramp <= 0 or ramp >= (b - a):
-        raise ValueError("need height > 0 and 0 < ramp < b - a")
-    lo, hi = a - ramp / 2, b + ramp / 2
+    if height <= 0 or RAMP >= (b - a):
+        raise ValueError("need height > 0 and RAMP < b - a")
+    lo, hi = a - RAMP / 2, b + RAMP / 2
 
     def fn(x):
-        up = np.clip((x - lo) / ramp, 0.0, 1.0)
-        dn = np.clip((hi - x) / ramp, 0.0, 1.0)
+        up = np.clip((x - lo) / RAMP, 0.0, 1.0)
+        dn = np.clip((hi - x) / RAMP, 0.0, 1.0)
         return height * np.minimum(up, dn)
 
     return TestFunction(fn, (lo, hi),
-                        (lo, a + ramp / 2, b - ramp / 2, hi))
+                        (lo, a + RAMP / 2, b - RAMP / 2, hi))
 
 
 # --- samplers ---
@@ -172,33 +171,36 @@ def sample_fixed_count(window: tuple[float, float], n: int,
 
 # --- Laplace functionals ---
 
-def _piecewise_trapezoid(fn, lo: float, hi: float, breakpoints, step: float) -> float:
+TRAPEZOID_STEP = 1e-4
+
+
+def _piecewise_trapezoid(fn, lo: float, hi: float, breakpoints) -> float:
     """Composite trapezoid with nodes at every breakpoint; O(step^2) error."""
     cuts = sorted({lo, hi, *(t for t in breakpoints if lo < t < hi)})
     total = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(np.ceil((right - left) / step)))
+        m = max(1, int(np.ceil((right - left) / TRAPEZOID_STEP)))
         x = np.linspace(left, right, m + 1)
         y = fn(x)
         total += np.trapezoid(y, x)
     return float(total)
 
 
-def poisson_laplace_functional(phi: TestFunction, intensity: float = 1.0,
-                               step: float = 1e-4) -> float:
+def poisson_laplace_functional(phi: TestFunction,
+                               intensity: float = 1.0) -> float:
     """Closed form exp(-intensity * integral (1 - e^-phi) dx)."""
     lo, hi = phi.support
     integral = _piecewise_trapezoid(lambda x: 1.0 - np.exp(-phi(x)),
-                                    lo, hi, phi.breakpoints, step)
+                                    lo, hi, phi.breakpoints)
     return float(np.exp(-intensity * integral))
 
 
-def bernoulli_laplace_functional(phi: TestFunction, spacing: float, prob: float,
-                                 window: tuple[float, float] | None = None) -> float:
+def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
+                                 prob: float) -> float:
     """Closed form: product over lattice sites of 1 + prob*(e^-phi(site) - 1)."""
     if spacing <= 0 or not (0 < prob <= 1):
         raise ValueError("need spacing > 0 and 0 < prob <= 1")
-    a, b = window if window is not None else phi.support
+    a, b = phi.support
     k_lo = int(np.ceil(a / spacing - 1e-12))
     k_hi = int(np.floor(b / spacing + 1e-12))
     sites = spacing * np.arange(k_lo, k_hi + 1)
@@ -207,7 +209,7 @@ def bernoulli_laplace_functional(phi: TestFunction, spacing: float, prob: float,
 
 
 def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float],
-                                   n: int, step: float = 1e-4) -> float:
+                                   n: int) -> float:
     """Closed form (1 + (1/|window|) * integral (e^-phi - 1) dx)^n."""
     a, b = float(window[0]), float(window[1])
     if not (a < b) or n < 1:
@@ -216,7 +218,7 @@ def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float
     if lo < a or hi > b:
         raise ValueError("test-function support must lie inside the window")
     integral = _piecewise_trapezoid(lambda x: np.exp(-phi(x)) - 1.0,
-                                    lo, hi, phi.breakpoints, step)
+                                    lo, hi, phi.breakpoints)
     return float((1.0 + integral / (b - a)) ** n)
 
 

@@ -81,7 +81,7 @@ def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
     traj_diag["mass"].append(mass(state))
     traj_diag["energy"].append(energy(state, potential))
     traj_diag["h1"].append(sobolev_norm(state, 1.0))
-    traj_diag["l2mu"].append(weighted_l2_norm(state, mu, profile=profile))
+    traj_diag["l2mu"].append(weighted_l2_norm(state, profile))
     traj_diag["sup"].append(sup_norm(state))
     traj_diag["quartic"].append(quartic_measure_integral(state, mu)
                                 if record_quartic else np.nan)
@@ -89,8 +89,7 @@ def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
-           *, measure: AtomicMeasure,
-           profile: WeightProfile | None = None) -> Trajectory:
+           *, measure: AtomicMeasure) -> Trajectory:
     """Strang-split evolution with per-record diagnostics.
 
     Records land at step 0, every record_every steps, and the final step.
@@ -104,8 +103,7 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     dt = params.dt
     half = np.exp(-0.5j * dt * grid.xi**2)
     vpot = potential.values
-    if profile is None:
-        profile = weight_profile(measure)
+    profile = weight_profile(measure)
 
     diag = {k: [] for k in (*DIAGNOSTIC_COLUMNS, "quartic")}
     states: list[WaveField] = []
@@ -128,11 +126,11 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
-                       params: SolverParams, variant: str = "fully_truncated",
-                       profile: WeightProfile | None = None) -> Trajectory:
+                       params: SolverParams,
+                       variant: str = "fully_truncated") -> Trajectory:
     """Evolution under the width-eps potential built from an atomic measure."""
     potential = truncated_potential(mu, psi0.grid, eps, variant)
-    return evolve(psi0, potential, params, measure=mu, profile=profile)
+    return evolve(psi0, potential, params, measure=mu)
 
 
 def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,

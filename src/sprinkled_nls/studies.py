@@ -171,7 +171,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
                              t_final=params.t_final,
                              record_every=substeps,
                              record_quartic=params.record_quartic)
-        return evolve_regularized(psi0, mu, eps, local, variant, profile=profile)
+        return evolve_regularized(psi0, mu, eps, local, variant)
 
     runs = {eps: run(eps) for eps in solve_eps}
 
@@ -182,7 +182,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
         for a, b in zip(coarse.states, fine.states):
             diff = WaveField(psi0.grid, a.values - b.values)
             h1s.append(sobolev_norm(diff, 1.0))
-            l2s.append(weighted_l2_norm(diff, mu, profile=profile))
+            l2s.append(weighted_l2_norm(diff, profile))
         h1s, l2s = np.asarray(h1s), np.asarray(l2s)
         d_h1.append(float(np.max(h1s)))
         d_l2mu.append(float(np.max(l2s)))
@@ -212,8 +212,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
 
 def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
                     deltas: Sequence[float], params: SolverParams, seed: int, *,
-                    variant: str = "fully_truncated",
-                    envelope_constant: float | None = None) -> StudyReport:
+                    variant: str = "fully_truncated") -> StudyReport:
     """Difference-ratio growth under initial-data perturbations.
 
     Perturbs psi0 by delta * g for a seeded unit-H^1 random field g, runs both
@@ -235,21 +234,12 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
         raise ConfigError("deltas must be nonnegative")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("deltas must be strictly decreasing")
-    profile = weight_profile(mu)
     g = random_field(psi0.grid, _rng.generator(seed))
-    c_env = (CALIBRATION["stability_envelope_constant"]
-             if envelope_constant is None else float(envelope_constant))
+    c_env = CALIBRATION["stability_envelope_constant"]
 
     starts = [psi0.values] + [psi0.values + d * g.values for d in deltas]
-    jobs = [(v, False) for v in starts] + [(v, True) for v in starts]
-
-    def run(job):
-        values, backward = job
-        start = WaveField(psi0.grid, np.conj(values) if backward else values)
-        return evolve_regularized(start, mu, eps, params, variant,
-                                  profile=profile)
-
-    runs = [run(job) for job in jobs]
+    runs = [evolve_regularized(WaveField(psi0.grid, v), mu, eps, params, variant)
+            for v in starts + [np.conj(v) for v in starts]]
     fwd, bwd = runs[: len(starts)], runs[len(starts):]
 
     t_final = float(fwd[0].times[-1])

@@ -30,3 +30,13 @@ def test_value_past_its_bound_fails_and_is_named(monkeypatch, capsys, key,
     assert gate(monkeypatch, {**CALIBRATION, key: value}) == 1
     err = capsys.readouterr().err
     assert [k for k in CALIBRATION if k in err] == [key]
+
+
+def test_fast_measurements_inside_frozen_values():
+    """The fast calibration pass measures every frozen constant, and each
+    measurement lies inside its frozen bound or bracket."""
+    measured = calibration.measure_all(fast=True)
+    assert measured.keys() == CALIBRATION.keys()
+    outside = {k: v for k, v in measured.items()
+               if not calibration._inside(v, CALIBRATION[k])}
+    assert not outside

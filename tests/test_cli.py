@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -153,10 +154,14 @@ def test_atoms_file_without_atoms_exits_2(tmp_path):
 
 
 def test_field_bin_cut_in_header_exits_2(tmp_path):
+    """A header cut short, and a header whose N = 2^62 values the file does
+    not hold (16 N bytes overflow a read size)."""
     field = tmp_path / "psi.bin"
-    field.write_bytes(_BIN_MAGIC + b"\0" * 12)
-    assert run("solve", "--out", str(tmp_path / "x"), "--override",
-               "initial=file", "--override", f"field_file={field}") == 2
+    for data in (_BIN_MAGIC + b"\0" * 12,
+                 _BIN_MAGIC + struct.pack("<dQ", 8.0, 1 << 62)):
+        field.write_bytes(data)
+        assert run("solve", "--out", str(tmp_path / "x"), "--override",
+                   "initial=file", "--override", f"field_file={field}") == 2
 
 
 def test_solve_accepts_every_width_the_library_accepts(tmp_path):

@@ -3,12 +3,11 @@ import pytest
 
 from sprinkled_nls.diagnostics import (atomic_energy, energy, kinetic_energy,
                                        mass, quartic_measure_integral,
-                                       tail_norms, tail_report)
+                                       tail_norms)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
                                  free_propagator, gaussian_field)
 from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_comb
-from sprinkled_nls.solver import SolverParams, evolve_regularized
 
 # frozen: int exp(-2x^2) = sqrt(pi/2), (1/2) int |d/dx exp(-x^2)|^2 = sqrt(pi/8)
 GAUSS_MASS = 1.2533141373155003
@@ -85,28 +84,3 @@ def test_tail_norms_capture_dispersed_mass():
     lam = 0.5  # mask turns on beyond |x| = 2
     assert tail_norms([out], lam)[0] > 10.0 * tail_norms(
         [gaussian_field(grid)], lam)[0]
-
-
-def test_tail_report_linear_growth_flag():
-    grid = Grid(32.0, 2048)
-    comb = sample_comb((-20.0, 20.0))
-    traj = evolve_regularized(gaussian_field(grid), comb, 0.2,
-                              SolverParams(dt=1e-3, t_final=0.5,
-                                           record_every=100))
-    rep = tail_report(traj, 0.5)
-    assert rep["within_bound"]
-    # mask opens at |x| = 2 where exp(-2x^2) ~ 3e-4
-    assert rep["tails"][0] < 1e-3
-    assert len(rep["tails"]) == len(traj.times)
-
-
-def test_tail_report_weighted_column():
-    """With a measure the weighted tails come along, dominating 2x plain."""
-    grid = Grid(32.0, 2048)
-    comb = sample_comb((-20.0, 20.0))
-    traj = evolve_regularized(gaussian_field(grid), comb, 0.2,
-                              SolverParams(dt=1e-2, t_final=0.1,
-                                           record_every=5))
-    rep = tail_report(traj, 0.5, mu=comb)
-    assert "tails_weighted" in rep
-    assert np.all(rep["tails_weighted"] >= 2.0 * rep["tails"] - 1e-12)

@@ -173,7 +173,7 @@ def test_chi_support_and_sign():
 # --- weighted norms ---
 
 def test_weighted_norm_single_atom_oracle(gauss, unit_atom):
-    got = weighted_l2_norm(gauss, unit_atom) ** 2
+    got = weighted_l2_norm(gauss, weight_profile(unit_atom)) ** 2
     assert got == pytest.approx(GAUSS_UNIT_ATOM_WSQ, rel=1e-7)
     val, _ = quad(lambda x: np.exp(-2 * x * x) * max(4.0, 5.0 - abs(x)),
                   -30.0, 30.0, points=[-1.0, 0.0, 1.0], limit=400)
@@ -182,22 +182,24 @@ def test_weighted_norm_single_atom_oracle(gauss, unit_atom):
 
 def test_weighted_norm_empty_measure_is_doubled_l2(gauss):
     mu = AtomicMeasure((-16.0, 16.0), np.array([]), np.array([]))
-    assert weighted_l2_norm(gauss, mu) == pytest.approx(2.0 * l2_norm(gauss),
-                                                        rel=1e-12)
+    assert weighted_l2_norm(gauss, weight_profile(mu)) == pytest.approx(
+        2.0 * l2_norm(gauss), rel=1e-12)
 
 
 def test_weighted_norm_dominates_doubled_l2(gauss):
     """w >= 4 pointwise, so the weighted norm is at least 2 ||f||."""
     for seed in (1, 2, 3):
         mu = sample_poisson((-32.0, 32.0), 1.0, seed)
-        assert weighted_l2_norm(gauss, mu) >= 2.0 * l2_norm(gauss) - 1e-12
+        assert (weighted_l2_norm(gauss, weight_profile(mu))
+                >= 2.0 * l2_norm(gauss) - 1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 4, 9])
 def test_block_and_weighted_norms_equivalent(gauss, seed):
     lo, hi = CALIBRATION["norm_equivalence_bracket"]
     mu = sample_poisson((-32.0, 32.0), 1.0, seed)
-    ratio = block_norm(gauss, mu) / weighted_l2_norm(gauss, mu)
+    profile = weight_profile(mu)
+    ratio = block_norm(gauss, profile) / weighted_l2_norm(gauss, profile)
     assert lo <= ratio <= hi
 
 
@@ -223,15 +225,9 @@ def test_weighted_norm_matches_gauss_legendre(half_length, n, seed):
     f = random_field(grid, rng.generator(seed))
     mu = sample_poisson((-half_length, half_length), 1.0, seed)
     assert mu.count > 5
-    want = _gauss_legendre_weighted_sq(f, weight_profile(mu))
-    assert weighted_l2_norm(f, mu) ** 2 == pytest.approx(want, rel=1e-12)
-
-
-def test_weighted_norm_accepts_precomputed_profile(gauss, unit_atom):
-    p = weight_profile(unit_atom)
-    a = weighted_l2_norm(gauss, unit_atom)
-    b = weighted_l2_norm(gauss, unit_atom, profile=p)
-    assert a == b
+    profile = weight_profile(mu)
+    want = _gauss_legendre_weighted_sq(f, profile)
+    assert weighted_l2_norm(f, profile) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 # --- serialization ---

@@ -40,13 +40,13 @@ def test_atomic_measure_sorts_atoms():
     np.testing.assert_array_equal(mu.positions, [-1.0, 0.0, 1.0])
     np.testing.assert_array_equal(mu.masses, [2.0, 3.0, 1.0])
     assert mu.count == 3
-    assert mu.total_mass() == 6.0
+    assert np.sum(mu.masses) == 6.0
 
 
 def test_empty_measure_allowed():
     mu = AtomicMeasure((-1.0, 1.0), np.array([]), np.array([]))
     assert mu.count == 0
-    assert mu.total_mass() == 0.0
+    assert np.sum(mu.masses) == 0.0
 
 
 def test_sample_poisson_deterministic():
@@ -109,7 +109,7 @@ def test_smoothed_indicator_validation():
     with pytest.raises(ValueError):
         smoothed_indicator(0.0, 1.0, height=-1.0)
     with pytest.raises(ValueError):
-        smoothed_indicator(0.0, 0.01, ramp=0.05)
+        smoothed_indicator(0.0, 0.01)  # narrower than the ramp
 
 
 @pytest.mark.parametrize("height", [0.5, 1.0, 2.0])

@@ -6,7 +6,7 @@ import pytest
 
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.field import Grid, gaussian_field
-from sprinkled_nls.measure import weighted_l2_norm
+from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import substream_seed
 from sprinkled_nls.solver import SolverParams
@@ -169,8 +169,8 @@ def test_moment_pairing_equals_weighted_norm():
     f = gaussian_field(Grid(16.0, 512), sigma=2.0, center=1.5)
     window, seed, n = (-16.0, 16.0), 3, 1000
     rep = moment_study({"f": f}, n, seed, window=window)
-    direct = np.mean([weighted_l2_norm(
-        f, sample_poisson(window, 1.0, substream_seed(seed, i))) ** 2
+    direct = np.mean([weighted_l2_norm(f, weight_profile(
+        sample_poisson(window, 1.0, substream_seed(seed, i)))) ** 2
         for i in range(n)])
     assert rep.columns["mean_weighted_squared"][0] == pytest.approx(
         direct, rel=1e-14)
