@@ -11,11 +11,24 @@ then another free half step.  Both substeps preserve the discrete mass
 exactly, the composition is time-reversible, and the scheme is second order
 in dt.  A classical fixed-step 4th-order integrator of the same spectral
 method-of-lines system serves as an independent reference.
+
+One kernel, ``evolve_many``, advances a stack of initial states that share a
+grid, a potential and a step as one (B, N) array: each transform is a single
+FFT call along axis 1, four per step whatever B is, written back into the
+stack so that stepping keeps one (B, N) working array.  ``evolve`` is the
+B = 1 case.  The nonlinear phase is applied only on the support of V (gather,
+multiply, scatter); off the support it is exp(0) = 1, so this is exact.
+The phase product is computed as np.multiply(psi, phase, out=psi), psi
+first: the complex product is not symmetric in its operands under FMA, and
+the expression psi * phase lets numpy swap them once the phase temporary
+reaches 256 KiB.  With the order fixed, every row of a stack equals the same
+start run alone bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +43,7 @@ __all__ = [
     "SolverParams",
     "Trajectory",
     "evolve",
+    "evolve_many",
     "evolve_regularized",
     "oracle_evolve",
     "save_trajectory_csv",
@@ -88,41 +102,62 @@ def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
     return state
 
 
-def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
-           *, measure: AtomicMeasure) -> Trajectory:
-    """Strang-split evolution with per-record diagnostics.
+def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
+                params: SolverParams, *,
+                measure: AtomicMeasure) -> list[Trajectory]:
+    """Strang-split evolution of a stack of initial states, one trajectory
+    per start, with per-record diagnostics.
 
     Records land at step 0, every record_every steps, and the final step.
     The weighted norm (and, when record_quartic is on, the quartic measure
     integral) is recorded against the measure; an empty measure gives the
-    baseline weight 4.
+    baseline weight 4.  A non-finite value in any row stops the whole stack.
     """
-    if potential.grid != psi0.grid:
+    if not starts:
+        raise ValueError("evolve_many needs at least one initial state")
+    grid = potential.grid
+    if any(psi0.grid != grid for psi0 in starts):
         raise ValueError("potential and initial data must share a grid")
-    grid = psi0.grid
     dt = params.dt
     half = np.exp(-0.5j * dt * grid.xi**2)
-    vpot = potential.values
+    support = np.flatnonzero(potential.values)
+    kick = -2j * dt * potential.values[support]
     profile = weight_profile(measure)
 
-    diag = {k: [] for k in (*DIAGNOSTIC_COLUMNS, "quartic")}
-    states: list[WaveField] = []
-    v = psi0.values.copy()
-    states.append(_record(diag, grid, v, 0.0, potential, measure, profile,
-                          params.record_quartic))
+    diags = [{k: [] for k in (*DIAGNOSTIC_COLUMNS, "quartic")} for _ in starts]
+    states: list[list[WaveField]] = [[] for _ in starts]
+
+    def record(v: np.ndarray, t: float) -> None:
+        for diag, row_states, row in zip(diags, states, v):
+            row_states.append(_record(diag, grid, row, t, potential, measure,
+                                      profile, params.record_quartic))
+
+    v = np.array([psi0.values for psi0 in starts])
+    record(v, 0.0)
     n_steps = params.n_steps
     for step in range(1, n_steps + 1):
-        v = np.fft.ifft(np.fft.fft(v) * half)
-        v = v * np.exp(-2j * dt * vpot * (v.real**2 + v.imag**2))
-        v = np.fft.ifft(np.fft.fft(v) * half)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        np.fft.fft(v, axis=1, out=v)
+        v *= half
+        np.fft.ifft(v, axis=1, out=v)
+        w = v[:, support]
+        np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
+        v[:, support] = w
+        np.fft.fft(v, axis=1, out=v)
+        v *= half
+        np.fft.ifft(v, axis=1, out=v)
+        if not np.isfinite(v).all():
             raise BlowUpError(step, step * dt)
         if step % params.record_every == 0 or step == n_steps:
-            states.append(_record(diag, grid, v, step * dt, potential, measure,
-                                  profile, params.record_quartic))
-    times = np.asarray(diag["t"])
-    diagnostics = {k: np.asarray(vs) for k, vs in diag.items()}
-    return Trajectory(grid, params, times, states, diagnostics)
+            record(v, step * dt)
+    return [Trajectory(grid, params, np.asarray(diag["t"]), row_states,
+                       {k: np.asarray(vs) for k, vs in diag.items()})
+            for diag, row_states in zip(diags, states)]
+
+
+def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
+           *, measure: AtomicMeasure) -> Trajectory:
+    """Single-start evolution: the B = 1 case of ``evolve_many``."""
+    return evolve_many([psi0], potential, params, measure=measure)[0]
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,

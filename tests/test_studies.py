@@ -131,6 +131,16 @@ def test_stability_smoke_time_symmetric():
         CALIBRATION["stability_envelope_constant"]
 
 
+def test_stability_zero_delta_row_is_exact(grid, unit_atom):
+    """The unperturbed start and its zero-delta copy share one stack; their
+    rows stay independent and identical."""
+    rep = stability_study(gaussian_field(grid), unit_atom, 0.2, (1e-2, 0.0),
+                          SolverParams(dt=1e-2, t_final=0.1, record_every=5),
+                          0)
+    assert rep.flags["zero_deltas_exact"]
+    assert rep.columns["exact_match"] == [False, True]
+
+
 def test_moment_validation():
     f = gaussian_field(Grid(32.0, 1024))
     with pytest.raises(ValueError):
