@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from contextlib import contextmanager
@@ -27,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .errors import (BlowUpError, ConfigError, OracleInstabilityError,
-                     ResolutionError)
+from .errors import BlowUpError, ConfigError, ResolutionError
 from .field import (Grid, gaussian_field, load_field_bin, load_field_csv,
                     random_field)
 from .measure import save_profile_csv, weight_profile
 from .mollify import VARIANTS, check_resolution
+from .payload import write_json
 from .point_process import (AtomicMeasure, load_atoms_json, sample_bernoulli_crystal,
                             sample_comb, sample_fixed_count, sample_poisson,
                             save_atoms_csv, save_atoms_json)
@@ -67,7 +66,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "spectral_width": ("float", 3.0, "random-field spectral envelope width"),
     "field_file": ("str", "", "field CSV/BIN path for initial = file"),
     "eps": ("float", 0.2, "smoothing width for solve / stability"),
-    "variant": ("str", "", "potential variant; empty picks the per-command default"),
+    "variant": ("choice:," + ",".join(VARIANTS), "",
+                "potential variant; empty picks the per-command default"),
     "dt": ("float", 1e-3, "time step"),
     "t_final": ("float", 1.0, "final time"),
     "record_every": ("int", 10, "steps between diagnostic records"),
@@ -143,8 +143,6 @@ def resolve_config(config_path: str | None, overrides: list[str],
         cfg["out_dir"] = out
     if cfg["window_lo"] >= cfg["window_hi"]:
         raise ConfigError("window_lo must be below window_hi")
-    if cfg["variant"] and cfg["variant"] not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS} or empty")
     return cfg
 
 
@@ -197,10 +195,7 @@ def _build_measure(cfg: dict) -> AtomicMeasure:
             return AtomicMeasure(window, np.empty(0), np.empty(0))
         if not cfg["atoms_file"]:
             raise ConfigError("measure=file requires atoms_file=PATH")
-        path = Path(cfg["atoms_file"])
-        if not path.is_file():
-            raise ConfigError(f"atoms_file does not exist: {path}")
-        return load_atoms_json(path)
+        return load_atoms_json(cfg["atoms_file"])
 
 
 def _build_initial(cfg: dict, grid: Grid):
@@ -215,8 +210,6 @@ def _build_initial(cfg: dict, grid: Grid):
         if not cfg["field_file"]:
             raise ConfigError("initial=file requires field_file=PATH")
         path = Path(cfg["field_file"])
-        if not path.is_file():
-            raise ConfigError(f"field_file does not exist: {path}")
         f = load_field_bin(path) if path.suffix == ".bin" else load_field_csv(path)
     if f.grid != grid:
         raise ConfigError("field_file grid does not match the configured grid")
@@ -232,17 +225,13 @@ def _solver_params(cfg: dict) -> SolverParams:
 
 def _write_manifest(out: Path, command: str, cfg: dict,
                     outputs: list[Path]) -> None:
-    doc = {
+    write_json(out / "manifest.json", {
         "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in sorted(cfg.items())},
+        "config": cfg,
         "outputs": {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
                     for p in outputs},
         "created_unix": time.time(),
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def cmd_sample(cfg: dict) -> int:
@@ -345,7 +334,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3
-    except (BlowUpError, OracleInstabilityError) as exc:
+    except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

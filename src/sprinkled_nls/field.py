@@ -35,11 +35,7 @@ __all__ = [
     "load_field_csv",
     "save_field_bin",
     "load_field_bin",
-    "FLOAT_FMT",
 ]
-
-# every float written to CSV uses 17 significant digits (round-trip exact)
-FLOAT_FMT = "%.17g"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

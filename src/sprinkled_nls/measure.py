@@ -29,6 +29,7 @@ import numpy as np
 
 from .bump import raw_bump
 from .field import WaveField, hat_moments
+from .payload import write_csv
 from .point_process import AtomicMeasure
 
 __all__ = [
@@ -147,7 +148,5 @@ def block_norm(f: WaveField, profile: WeightProfile) -> float:
 # --- serialization ---
 
 def save_profile_csv(p: WeightProfile, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,nk_squared\n")
-        for i, v in enumerate(p.nk_squared_values):
-            fh.write(f"{p.k_start + i:d},{v:.17g}\n")
+    write_csv(path, {"k": np.arange(p.k_start, p.k_end + 1),
+                     "nk_squared": p.nk_squared_values})

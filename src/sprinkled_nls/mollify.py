@@ -60,7 +60,7 @@ def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensi
         if s <= 0.0:
             continue
         values[i0:i1 + 1] += (mass / s) * k
-    return GriddedDensity(grid, np.maximum(values, 0.0))
+    return GriddedDensity(grid, values)
 
 
 def truncated_potential(mu: AtomicMeasure, grid: Grid, eps: float,

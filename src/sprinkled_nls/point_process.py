@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
+from .payload import write_csv, write_json
 
 __all__ = [
     "AtomicMeasure",
@@ -77,8 +78,10 @@ class AtomicMeasure:
 class TestFunction:
     """Non-negative continuous function with compact support [a, b].
 
-    `breakpoints` lists the kinks; quadrature routines place nodes there so the
-    piecewise-smooth structure never degrades the convergence order.
+    `fn` must vanish outside the support itself; calls evaluate it on every
+    point.  `breakpoints` lists the kinks; quadrature routines place nodes
+    there so the piecewise-smooth structure never degrades the convergence
+    order.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -86,13 +89,7 @@ class TestFunction:
     breakpoints: tuple[float, ...] = ()
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self.support
-        out = np.zeros_like(x)
-        inside = (x >= a) & (x <= b)
-        if np.any(inside):
-            out[inside] = self.fn(x[inside])
-        return out
+        return self.fn(np.asarray(x, dtype=float))
 
 
 RAMP = 0.05
@@ -135,6 +132,14 @@ def sample_poisson(window: tuple[float, float], intensity: float,
     return AtomicMeasure((a, b), positions, np.ones(count))
 
 
+def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
+    """The lattice sites k*spacing in [a, b]; a site within 1e-12 lattice
+    steps of an edge counts as on it, so rounding never drops an edge site."""
+    k_lo = int(np.ceil(a / spacing - 1e-12))
+    k_hi = int(np.floor(b / spacing + 1e-12))
+    return spacing * np.arange(k_lo, k_hi + 1)
+
+
 def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
                              prob: float, seed: int) -> AtomicMeasure:
     """Unit masses at lattice sites k*spacing inside the closed window, each
@@ -142,9 +147,7 @@ def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
     a, b = float(window[0]), float(window[1])
     if not (a < b) or spacing <= 0 or not (0 < prob <= 1):
         raise ValueError("need a < b, spacing > 0, 0 < prob <= 1")
-    k_lo = int(np.ceil(a / spacing - 1e-12))
-    k_hi = int(np.floor(b / spacing + 1e-12))
-    sites = spacing * np.arange(k_lo, k_hi + 1)
+    sites = _lattice_sites(a, b, spacing)
     if prob < 1:
         gen = _rng.generator(seed)
         keep = gen.random(sites.size) < prob
@@ -200,10 +203,7 @@ def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
     """Closed form: product over lattice sites of 1 + prob*(e^-phi(site) - 1)."""
     if spacing <= 0 or not (0 < prob <= 1):
         raise ValueError("need spacing > 0 and 0 < prob <= 1")
-    a, b = phi.support
-    k_lo = int(np.ceil(a / spacing - 1e-12))
-    k_hi = int(np.floor(b / spacing + 1e-12))
-    sites = spacing * np.arange(k_lo, k_hi + 1)
+    sites = _lattice_sites(*phi.support, spacing)
     factors = 1.0 + prob * (np.exp(-phi(sites)) - 1.0)
     return float(np.prod(factors))
 
@@ -246,20 +246,12 @@ def empirical_laplace_functional(sampler: Callable[[int], AtomicMeasure],
 # --- serialization ---
 
 def save_atoms_csv(mu: AtomicMeasure, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("position,mass\n")
-        for y, m in zip(mu.positions, mu.masses):
-            fh.write(f"{y:.17g},{m:.17g}\n")
+    write_csv(path, {"position": mu.positions, "mass": mu.masses})
 
 
 def save_atoms_json(mu: AtomicMeasure, path) -> None:
-    doc = {
-        "window": [mu.window[0], mu.window[1]],
-        "atoms": [[float(y), float(m)] for y, m in zip(mu.positions, mu.masses)],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {"window": mu.window,
+                      "atoms": np.column_stack((mu.positions, mu.masses))})
 
 
 def load_atoms_json(path) -> AtomicMeasure:

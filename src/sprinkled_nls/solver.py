@@ -37,6 +37,7 @@ from .errors import BlowUpError, OracleInstabilityError
 from .field import Grid, GriddedDensity, WaveField, save_field_bin, sobolev_norm, sup_norm
 from .measure import WeightProfile, weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
+from .payload import write_csv
 from .point_process import AtomicMeasure
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
     "save_snapshots",
 ]
 
-DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup")
+DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     kick = -2j * dt * potential.values[support]
     profile = weight_profile(measure)
 
-    diags = [{k: [] for k in (*DIAGNOSTIC_COLUMNS, "quartic")} for _ in starts]
+    diags = [{k: [] for k in DIAGNOSTIC_COLUMNS} for _ in starts]
     states: list[list[WaveField]] = [[] for _ in starts]
 
     def record(v: np.ndarray, t: float) -> None:
@@ -169,19 +170,15 @@ def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
 
 
 def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
-                  dt: float | None = None) -> WaveField:
+                  dt: float) -> WaveField:
     """Independent reference: classical 4th-order fixed-step integration of
     the spectral method-of-lines system; returns the final state.
 
-    The default step sits inside the imaginary-axis stability interval of the
-    scheme for the grid's largest frequency.  The run aborts if the conserved
-    norm drifts by more than 10%.
+    The run aborts if the conserved norm drifts by more than 10%.
     """
     grid = psi0.grid
     if potential.grid != grid:
         raise ValueError("potential and initial data must share a grid")
-    if dt is None:
-        dt = grid.dx**2 / 4.0
     n = max(1, int(np.ceil(t_final / dt)))
     h = t_final / n
     xi2 = grid.xi**2
@@ -212,12 +209,7 @@ def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
 # --- serialization ---
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
-    d = traj.diagnostics
-    cols = (*DIAGNOSTIC_COLUMNS, "quartic")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(traj.times)):
-            fh.write(",".join(f"{d[c][i]:.17g}" for c in cols) + "\n")
+    write_csv(path, {c: traj.diagnostics[c] for c in DIAGNOSTIC_COLUMNS})
 
 
 def save_snapshots(traj: Trajectory, out_dir) -> list[str]:

@@ -8,8 +8,7 @@ a bad one, which the CLI reports as a configuration problem.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,10 +16,11 @@ import numpy as np
 from . import rng as _rng
 from .constants import CALIBRATION
 from .errors import ConfigError
-from .field import (FLOAT_FMT, Grid, WaveField, gaussian_field, hat_moments,
-                    l2_norm, random_field, sobolev_norm)
+from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
+                    random_field, sobolev_norm)
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import VARIANTS, check_resolution, truncated_potential
+from .payload import write_csv, write_json
 from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
                             empirical_laplace_functional,
                             fixed_count_laplace_functional,
@@ -63,54 +63,13 @@ class StudyReport:
         return all(self.flags.values())
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    if isinstance(v, (float, np.floating)):
-        return FLOAT_FMT % v
-    return str(v)
-
-
 def save_report_csv(report: StudyReport, path) -> None:
     """One row per parameter value; floats at full precision."""
-    names = list(report.columns)
-    n_rows = len(report.columns[names[0]]) if names else 0
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(_cell(report.columns[k][i]) for k in names))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+    write_csv(path, report.columns)
 
 
 def save_report_json(report: StudyReport, path) -> None:
-    doc = {
-        "name": report.name,
-        "params": _plain(report.params),
-        "columns": _plain(report.columns),
-        "rates": _plain(report.rates),
-        "flags": _plain(report.flags),
-        "constants": _plain(report.constants),
-        "passed": report.passed(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {**asdict(report), "passed": report.passed()})
 
 
 def _loglog_slope(xs, ys) -> float:

@@ -40,7 +40,9 @@ def test_resolve_config_rejects_bad_input(tmp_path):
         resolve_config(None, ["dt=fast"], None, None)
     with pytest.raises(ConfigError):
         resolve_config(None, ["window_lo=5", "window_hi=-5"], None, None)
-    bad = tmp_path / "bad.cfg"
+    with pytest.raises(ConfigError):
+        resolve_config(None, ["variant=bogus"], None, None)
+    bad =tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
         resolve_config(str(bad), [], None, None)

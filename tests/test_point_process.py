@@ -95,7 +95,10 @@ def test_smoothed_indicator_shape():
     lo, hi = phi.support
     assert (lo, hi) == (-0.025, 1.025)
     assert phi(np.array([0.5]))[0] == 2.0
-    assert phi(np.array([-1.0]))[0] == 0.0
+    # zero on and just outside both support edges, and far outside
+    outside = np.array([-1e6, -1.0, lo - 1e-9, np.nextafter(lo, -np.inf), lo,
+                        hi, np.nextafter(hi, np.inf), hi + 1e-9, 5.0, 1e6])
+    assert phi(outside).tolist() == [0.0] * outside.size
     # edge midpoints sit halfway up the ramp
     assert phi(np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-14)
     val, _ = quad(lambda x: phi(np.array([x]))[0], lo, hi,
