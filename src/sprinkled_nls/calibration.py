@@ -27,7 +27,7 @@ from .studies import eps_convergence_study, moment_study, stability_study
 SEED = 0xCA1B
 
 
-def measure_sup_interpolation(n_fields: int = 200) -> float:
+def measure_sup_interpolation(n_fields: int) -> float:
     """Largest observed sup|f| / sqrt(||f|| * ||f||_H1).
 
     Includes smoothed two-sided exponentials, the extremal family for the
@@ -47,7 +47,7 @@ def measure_sup_interpolation(n_fields: int = 200) -> float:
     return best
 
 
-def measure_bandlimited_sup(n_fields: int = 120) -> float:
+def measure_bandlimited_sup(n_fields: int) -> float:
     """Largest observed sup|P_n f| / (sqrt(n) * ||P_n f||)."""
     grid = Grid(32.0, 4096)
     best = 0.0
@@ -73,7 +73,7 @@ def measure_dispersive() -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def measure_norm_equivalence(n_cases: int = 60) -> tuple[float, float]:
+def measure_norm_equivalence(n_cases: int) -> tuple[float, float]:
     """Observed range of block_norm^2 / weighted_l2_norm^2."""
     grid = Grid(32.0, 4096)
     gen = _rng.generator(SEED + 2)
@@ -95,7 +95,7 @@ def measure_partition_overlap() -> tuple[float, float]:
     return float(np.min(s)), float(np.max(s))
 
 
-def measure_localized_mass(n_samples: int = 200) -> float:
+def measure_localized_mass(n_samples: int) -> float:
     """Largest observed integral of chi_k against a mollified measure / N_k."""
     grid = Grid(32.0, 4096)
     best = 0.0
@@ -157,7 +157,7 @@ def measure_stability_envelope() -> float:
     return best
 
 
-def measure_moments(n_samples: int = 20000) -> dict:
+def measure_moments(n_samples: int) -> dict:
     rep = moment_study(None, n_samples, SEED + 9)
     return {
         "expected_n0_squared": rep.rates["n0_squared_full"],
@@ -177,7 +177,7 @@ def measure_cauchy_ratio() -> float:
     return max(r for r in rep.columns["ratio"] if np.isfinite(r))
 
 
-def measure_all(fast: bool = False) -> dict:
+def measure_all(fast: bool) -> dict:
     """Every calibrated quantity, keyed like CALIBRATION; brackets are
     measured (lo, hi) ranges."""
     scale = 10 if fast else 1
@@ -206,7 +206,7 @@ def _inside(val, frozen) -> bool:
     return val <= frozen
 
 
-def main(fast: bool = False) -> int:
+def main(fast: bool) -> int:
     """Print every measurement next to its frozen value; return 1 if any
     falls outside it, else 0."""
     measured = measure_all(fast)

@@ -7,12 +7,14 @@ that.  Runs are deterministic given (config, seed): rerunning writes
 byte-identical CSV payloads.  Timestamps appear only in the JSON manifest.
 
 Exit codes: 0 success (and all study flags pass), 2 configuration problem,
-3 grid too coarse for a smoothing width (``mollify.check_resolution``),
+3 grid too coarse for a smoothing width (a ResolutionError),
 4 numerical failure, 5 study flags failed.  A configuration problem is a
 ConfigError: the CLI raises it for keys and values, converts the ValueError
 of anything it builds from the config (grid, measure, initial field, step
-parameters, widths, input files), and the study functions raise it for
-their inputs.  Any other exception is a bug and propagates.
+parameters, input files), and the library raises it for a smoothing width
+outside (0, 1] and for study inputs.  Any other exception is a bug and
+propagates.  An empty ``variant`` or a zero ``n_samples`` is not passed on,
+so the called function's own default applies.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .errors import BlowUpError, ConfigError, ResolutionError
 from .field import (Grid, gaussian_field, load_field_bin, load_field_csv,
                     random_field)
 from .measure import save_profile_csv, weight_profile
-from .mollify import VARIANTS, check_resolution
+from .mollify import VARIANTS
 from .payload import write_json
 from .point_process import (AtomicMeasure, load_atoms_json, sample_bernoulli_crystal,
                             sample_comb, sample_fixed_count, sample_poisson,
@@ -170,14 +172,6 @@ def _grid(cfg: dict) -> Grid:
         return Grid(cfg["half_length"], cfg["n_points"])
 
 
-def _check_widths(grid: Grid, *widths: float) -> None:
-    """Widths outside (0, 1] are a configuration problem; a grid too coarse
-    for one raises ResolutionError."""
-    with _configured("eps"):
-        for eps in widths:
-            check_resolution(grid, eps)
-
-
 def _build_measure(cfg: dict) -> AtomicMeasure:
     window = (cfg["window_lo"], cfg["window_hi"])
     kind = cfg["measure"]
@@ -216,6 +210,11 @@ def _build_initial(cfg: dict, grid: Grid):
     return f
 
 
+def _if_set(cfg: dict, key: str) -> dict:
+    """``{key: value}`` for a set key, else nothing: the callee's default."""
+    return {key: cfg[key]} if cfg[key] else {}
+
+
 def _solver_params(cfg: dict) -> SolverParams:
     with _configured("stepping"):
         return SolverParams(dt=cfg["dt"], t_final=cfg["t_final"],
@@ -249,11 +248,10 @@ def cmd_sample(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     out = _out_dir(cfg)
     grid = _grid(cfg)
-    _check_widths(grid, cfg["eps"])
     mu = _build_measure(cfg)
     psi0 = _build_initial(cfg, grid)
-    variant = cfg["variant"] or "fully_truncated"
-    traj = evolve_regularized(psi0, mu, cfg["eps"], _solver_params(cfg), variant)
+    traj = evolve_regularized(psi0, mu, cfg["eps"], _solver_params(cfg),
+                              **_if_set(cfg, "variant"))
     save_trajectory_csv(traj, out / "diagnostics.csv")
     outputs = [out / "diagnostics.csv"]
     if cfg["snapshots"]:
@@ -269,29 +267,22 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_study(cfg: dict) -> int:
     out = _out_dir(cfg)
     which = cfg["study"]
-    n_samples = cfg["n_samples"]
     if which == "eps":
-        grid = _grid(cfg)
-        # the study solves at every rung and at half of it
-        _check_widths(grid, *cfg["eps_ladder"],
-                      *(eps / 2 for eps in cfg["eps_ladder"]))
         report = eps_convergence_study(
-            _build_initial(cfg, grid), _build_measure(cfg), cfg["eps_ladder"],
-            _solver_params(cfg), variant=cfg["variant"] or "mollified_only")
+            _build_initial(cfg, _grid(cfg)), _build_measure(cfg),
+            cfg["eps_ladder"], _solver_params(cfg), **_if_set(cfg, "variant"))
     elif which == "stability":
-        grid = _grid(cfg)
-        _check_widths(grid, cfg["eps"])
         report = stability_study(
-            _build_initial(cfg, grid), _build_measure(cfg), cfg["eps"],
+            _build_initial(cfg, _grid(cfg)), _build_measure(cfg), cfg["eps"],
             cfg["deltas"], _solver_params(cfg),
-            _rng.substream_seed(cfg["seed"], 2),
-            variant=cfg["variant"] or "fully_truncated")
+            _rng.substream_seed(cfg["seed"], 2), **_if_set(cfg, "variant"))
     elif which == "moments":
-        report = moment_study(None, n_samples or 20000, cfg["seed"],
+        report = moment_study(None, seed=cfg["seed"],
                               window=(cfg["window_lo"], cfg["window_hi"]),
-                              intensity=cfg["intensity"])
+                              intensity=cfg["intensity"],
+                              **_if_set(cfg, "n_samples"))
     else:
-        report = laplace_study(cfg["seed"], n_samples=n_samples or 100000)
+        report = laplace_study(cfg["seed"], **_if_set(cfg, "n_samples"))
 
     csv_path = out / f"study_{report.name}.csv"
     save_report_csv(report, csv_path)

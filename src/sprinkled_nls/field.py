@@ -51,8 +51,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not (self.half_length > 0):
-            raise ValueError("half_length must be positive")
+        if not (0 < self.half_length < np.inf):
+            raise ValueError("half_length must be positive and finite")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two, at least 4")
 
@@ -105,8 +105,10 @@ class GriddedDensity:
 def gaussian_field(grid: Grid, sigma: float = 1.0, center: float = 0.0,
                    amplitude: float = 1.0) -> WaveField:
     """amplitude * exp(-((x-center)/sigma)^2); sigma=1, center=0 gives exp(-x^2)."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
+    if not np.isfinite([center, amplitude]).all():
+        raise ValueError("center and amplitude must be finite")
     u = (grid.x - center) / sigma
     return WaveField(grid, amplitude * np.exp(-u * u).astype(np.complex128))
 
@@ -115,6 +117,8 @@ def random_field(grid: Grid, gen: np.random.Generator,
                  spectral_width: float = 3.0) -> WaveField:
     """Random smooth field of unit H^1 norm drawn from gen: Gaussian spectral
     amplitudes with an exp(-(xi/width)^2) envelope."""
+    if not spectral_width > 0:
+        raise ValueError("spectral_width must be positive")
     envelope = np.exp(-((grid.xi / spectral_width) ** 2))
     coeff = (gen.standard_normal(grid.n) + 1j * gen.standard_normal(grid.n)) * envelope
     f = WaveField(grid, np.fft.ifft(coeff))

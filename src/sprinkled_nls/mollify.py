@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bump import bump_scaled, cutoff
-from .errors import ResolutionError
+from .errors import ConfigError, ResolutionError
 from .field import Grid, GriddedDensity
 from .point_process import AtomicMeasure
 
@@ -28,14 +28,15 @@ VARIANTS = ("fully_truncated", "mollified_only")
 
 
 def check_resolution(grid: Grid, eps: float) -> None:
-    """Reject grids with fewer than four points across the kernel support.
+    """Reject a width outside (0, 1] (ConfigError) and grids with fewer than
+    four points across the kernel support (ResolutionError).
 
     Quadrature quality degrades gracefully down to that point (relative mass
     error of the raw sampled kernel is ~2e-4 at dx = eps/8 and ~5e-3 at
     dx = eps/2); below it the sampled kernel can miss atoms entirely.
     """
     if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+        raise ConfigError("eps must lie in (0, 1]")
     if grid.dx > eps / 2:
         raise ResolutionError(
             f"grid spacing {grid.dx:.6g} exceeds eps/2 = {eps / 2:.6g}; "
@@ -64,7 +65,7 @@ def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensi
 
 
 def truncated_potential(mu: AtomicMeasure, grid: Grid, eps: float,
-                        variant: str = "fully_truncated") -> GriddedDensity:
+                        variant: str) -> GriddedDensity:
     """Potential for the regularized flow; non-negative by construction."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import energy, mass, quartic_measure_integral
 from .errors import BlowUpError, OracleInstabilityError
-from .field import Grid, GriddedDensity, WaveField, save_field_bin, sobolev_norm, sup_norm
+from .field import GriddedDensity, WaveField, save_field_bin, sobolev_norm, sup_norm
 from .measure import WeightProfile, weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv
@@ -66,8 +66,8 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
             raise ValueError("dt must lie in (0, 0.1]")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be at least dt")
+        if not (self.dt <= self.t_final < np.inf):
+            raise ValueError("t_final must be finite and at least dt")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
@@ -81,26 +81,23 @@ class SolverParams:
 class Trajectory:
     """Recorded states and per-record diagnostics of one run."""
 
-    grid: Grid
     params: SolverParams
     times: np.ndarray
     states: list[WaveField]
     diagnostics: dict[str, np.ndarray]
 
 
-def _record(traj_diag, grid: Grid, v: np.ndarray, t: float,
-            potential: GriddedDensity, mu: AtomicMeasure,
-            profile: WeightProfile, record_quartic: bool) -> WaveField:
-    state = WaveField(grid, v)
-    traj_diag["t"].append(t)
-    traj_diag["mass"].append(mass(state))
-    traj_diag["energy"].append(energy(state, potential))
-    traj_diag["h1"].append(sobolev_norm(state, 1.0))
-    traj_diag["l2mu"].append(weighted_l2_norm(state, profile))
-    traj_diag["sup"].append(sup_norm(state))
-    traj_diag["quartic"].append(quartic_measure_integral(state, mu)
-                                if record_quartic else np.nan)
-    return state
+def _trajectory(params: SolverParams, times: list[float],
+                states: list[WaveField], potential: GriddedDensity,
+                mu: AtomicMeasure, profile: WeightProfile) -> Trajectory:
+    """The recorded states with their diagnostics, one row per state."""
+    rows = [(t, mass(s), energy(s, potential), sobolev_norm(s, 1.0),
+             weighted_l2_norm(s, profile), sup_norm(s),
+             quartic_measure_integral(s, mu) if params.record_quartic else np.nan)
+            for t, s in zip(times, states)]
+    return Trajectory(params, np.asarray(times), states,
+                      {c: np.asarray(col)
+                       for c, col in zip(DIAGNOSTIC_COLUMNS, zip(*rows))})
 
 
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
@@ -123,18 +120,10 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     half = np.exp(-0.5j * dt * grid.xi**2)
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
-    profile = weight_profile(measure)
-
-    diags = [{k: [] for k in DIAGNOSTIC_COLUMNS} for _ in starts]
-    states: list[list[WaveField]] = [[] for _ in starts]
-
-    def record(v: np.ndarray, t: float) -> None:
-        for diag, row_states, row in zip(diags, states, v):
-            row_states.append(_record(diag, grid, row, t, potential, measure,
-                                      profile, params.record_quartic))
 
     v = np.array([psi0.values for psi0 in starts])
-    record(v, 0.0)
+    times = [0.0]
+    states = [[WaveField(grid, row)] for row in v]
     n_steps = params.n_steps
     for step in range(1, n_steps + 1):
         np.fft.fft(v, axis=1, out=v)
@@ -149,10 +138,12 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
         if not np.isfinite(v).all():
             raise BlowUpError(step, step * dt)
         if step % params.record_every == 0 or step == n_steps:
-            record(v, step * dt)
-    return [Trajectory(grid, params, np.asarray(diag["t"]), row_states,
-                       {k: np.asarray(vs) for k, vs in diag.items()})
-            for diag, row_states in zip(diags, states)]
+            times.append(step * dt)
+            for row_states, row in zip(states, v):
+                row_states.append(WaveField(grid, row))
+    profile = weight_profile(measure)
+    return [_trajectory(params, times, row_states, potential, measure, profile)
+            for row_states in states]
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
@@ -209,7 +200,7 @@ def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
 # --- serialization ---
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
-    write_csv(path, {c: traj.diagnostics[c] for c in DIAGNOSTIC_COLUMNS})
+    write_csv(path, traj.diagnostics)
 
 
 def save_snapshots(traj: Trajectory, out_dir) -> list[str]:

@@ -113,7 +113,8 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     if any(abs(b - a / 2) > 1e-9 * a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("eps ladder must halve at every step")
     solve_eps = sorted({e for e in ladder} | {e / 2 for e in ladder}, reverse=True)
-    check_resolution(psi0.grid, min(solve_eps))
+    for eps in solve_eps:
+        check_resolution(psi0.grid, eps)
     profile = weight_profile(mu)
 
     rec_interval = params.record_every * params.dt
@@ -191,8 +192,8 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     C, and zero-delta rows match exactly.
     """
     deltas = [float(d) for d in deltas]
-    if not deltas or any(d < 0 for d in deltas):
-        raise ConfigError("deltas must be nonnegative")
+    if not deltas or not all(0 <= d < np.inf for d in deltas):
+        raise ConfigError("deltas must be finite and nonnegative")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("deltas must be strictly decreasing")
     g = random_field(psi0.grid, _rng.generator(seed))

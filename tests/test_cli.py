@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import struct
@@ -10,15 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sprinkled_nls import cli
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.field import _BIN_MAGIC, Grid
-from sprinkled_nls.mollify import check_resolution
+from sprinkled_nls.mollify import VARIANTS, check_resolution
+from sprinkled_nls.studies import StudyReport
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def overrides(*pairs):
+    return [arg for pair in pairs for arg in ("--override", pair)]
 
 
 def test_resolve_config_precedence(tmp_path):
@@ -140,6 +147,13 @@ def test_exit_codes(tmp_path):
                "--override", "n_points=256") == 3  # dx > eps/2
     assert run("solve", "--out", str(tmp_path / "x"),
                "--override", "eps=0") == 2  # outside (0, 1], not a grid issue
+    # non-finite or non-positive inputs are configuration problems
+    for pairs in (["t_final=nan"], ["t_final=inf"], ["sigma=nan"],
+                  ["center=inf"], ["amplitude=nan"],
+                  ["initial=random", "spectral_width=0"],
+                  ["initial=random", "spectral_width=nan"]):
+        assert run("solve", "--out", str(tmp_path / "x"),
+                   *overrides(*pairs)) == 2, pairs
     assert run("solve", "--out", str(tmp_path / "x"), "--override",
                "initial=file", "--override",
                f"field_file={tmp_path / 'missing.csv'}") == 2
@@ -282,7 +296,50 @@ def test_study_ladder_validation(tmp_path):
     assert run("study", "--out", str(tmp_path / "x"), "--override",
                "study=eps", "--override", "eps_ladder=0.4,0.3,0.2") == 2
     assert run("study", "--out", str(tmp_path / "x"), "--override",
+               "study=eps", "--override", "eps_ladder=0.8,0.4,nan") == 2
+    assert run("study", "--out", str(tmp_path / "x"), "--override",
                "study=stability", "--override", "deltas=1e-4,1e-3") == 2
+    assert run("study", "--out", str(tmp_path / "x"), "--override",
+               "study=stability", "--override", "deltas=nan") == 2
+
+
+@pytest.mark.parametrize("study, fn", [("eps", "eps_convergence_study"),
+                                       ("stability", "stability_study")])
+def test_unset_variant_is_the_study_default(tmp_path, study, fn):
+    """An empty variant leaves the study's signature default in force; a set
+    one is passed through.  Both land in the report's params."""
+    default = inspect.signature(getattr(cli, fn)).parameters["variant"].default
+    other = next(v for v in VARIANTS if v != default)
+    small = overrides(f"study={study}", "half_length=8", "n_points=512",
+                      "window_lo=-8", "window_hi=8", "t_final=0.05",
+                      "eps_ladder=0.8,0.4,0.2")
+    for variant, expected in (("", default), (other, other)):
+        out = tmp_path / (variant or "unset")
+        run("study", "--out", str(out), *small, *overrides(f"variant={variant}"))
+        [report] = out.glob("study_*.json")
+        assert json.loads(report.read_text())["params"]["variant"] == expected
+
+
+@pytest.mark.parametrize("study, fn", [("moments", "moment_study"),
+                                       ("laplace", "laplace_study")])
+def test_unset_n_samples_is_the_study_default(tmp_path, monkeypatch, study, fn):
+    """n_samples = 0 leaves the study's signature default in force; a set
+    count is passed through.  A stub records the bound count instead of
+    running the study."""
+    signature = inspect.signature(getattr(cli, fn))
+    seen = []
+
+    def stub(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["n_samples"])
+        return StudyReport(study, {}, {})
+
+    monkeypatch.setattr(cli, fn, stub)
+    for n in (0, 1234):
+        assert run("study", "--out", str(tmp_path / str(n)),
+                   *overrides(f"study={study}", f"n_samples={n}")) == 0
+    assert seen == [signature.parameters["n_samples"].default, 1234]
 
 
 def test_module_entry_point(tmp_path):

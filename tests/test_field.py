@@ -31,8 +31,9 @@ def test_grid_rejects_non_power_of_two(n):
 
 
 def test_grid_rejects_bad_length():
-    with pytest.raises(ValueError):
-        Grid(0.0, 512)
+    for half_length in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Grid(half_length, 512)
 
 
 def test_wavefield_shape_checked():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sprinkled_nls.bump import cutoff
-from sprinkled_nls.errors import ResolutionError
+from sprinkled_nls.errors import ConfigError, ResolutionError
 from sprinkled_nls.field import Grid
 from sprinkled_nls.mollify import (VARIANTS, check_resolution,
                                    mollified_density, truncated_potential)
@@ -26,10 +26,9 @@ def test_check_resolution_boundary():
 
 def test_check_resolution_eps_range():
     g = Grid(16.0, 512)
-    with pytest.raises(ValueError):
-        check_resolution(g, 0.0)
-    with pytest.raises(ValueError):
-        check_resolution(g, 1.5)
+    for eps in (0.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError):
+            check_resolution(g, eps)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.3137, -7.77])

@@ -29,6 +29,9 @@ def test_solver_params_validation():
         SolverParams(dt=0.0, t_final=1.0)
     with pytest.raises(ValueError):
         SolverParams(dt=1e-2, t_final=1e-3)
+    for t_final in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverParams(dt=1e-2, t_final=t_final)
     with pytest.raises(ValueError):
         SolverParams(dt=1e-2, t_final=1.0, record_every=0)
     p = SolverParams(dt=1e-2, t_final=1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sprinkled_nls.constants import CALIBRATION
+from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.field import Grid, gaussian_field
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
@@ -64,6 +65,9 @@ def test_eps_ladder_validation(grid):
     with pytest.raises(ValueError):
         eps_convergence_study(psi0, mu, (0.4, 0.2, 0.1), params,
                               variant="nope")
+    # every solve width is checked before the first solve
+    with pytest.raises(ConfigError):
+        eps_convergence_study(psi0, mu, (0.8, 0.4, float("nan")), params)
 
 
 def test_eps_convergence_smoke():
@@ -112,6 +116,9 @@ def test_stability_delta_validation(grid, unit_atom):
         stability_study(psi0, unit_atom, 0.2, (1e-3, 1e-2), params, 0)
     with pytest.raises(ValueError):
         stability_study(psi0, unit_atom, 0.2, (), params, 0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            stability_study(psi0, unit_atom, 0.2, (bad,), params, 0)
 
 
 def test_stability_smoke_time_symmetric():
