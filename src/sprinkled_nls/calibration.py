@@ -22,7 +22,8 @@ from .measure import block_norm, chi, weight_profile, weighted_l2_norm
 from .mollify import mollified_density
 from .point_process import sample_poisson
 from .solver import SolverParams, evolve_regularized
-from .studies import eps_convergence_study, moment_study, stability_study
+from .studies import (eps_convergence_study, moment_study, poisson_sweep,
+                      stability_study)
 
 SEED = 0xCA1B
 
@@ -78,8 +79,7 @@ def measure_norm_equivalence(n_cases: int) -> tuple[float, float]:
     grid = Grid(32.0, 4096)
     gen = _rng.generator(SEED + 2)
     lo, hi = np.inf, 0.0
-    for i in range(n_cases):
-        mu = sample_poisson((-32.0, 32.0), 1.0, _rng.substream_seed(SEED + 3, i))
+    for mu in poisson_sweep((-32.0, 32.0), 1.0, SEED + 3, n_cases):
         profile = weight_profile(mu)
         for width in (1.0, 4.0):
             f = random_field(grid, gen, spectral_width=width)
@@ -99,8 +99,7 @@ def measure_localized_mass(n_samples: int) -> float:
     """Largest observed integral of chi_k against a mollified measure / N_k."""
     grid = Grid(32.0, 4096)
     best = 0.0
-    for i in range(n_samples):
-        mu = sample_poisson((-30.0, 30.0), 1.0, _rng.substream_seed(SEED + 4, i))
+    for mu in poisson_sweep((-30.0, 30.0), 1.0, SEED + 4, n_samples):
         profile = weight_profile(mu)
         for eps in (0.05, 0.2):
             dens = mollified_density(mu, grid, eps)

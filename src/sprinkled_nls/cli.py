@@ -12,9 +12,10 @@ Exit codes: 0 success (and all study flags pass), 2 configuration problem,
 ConfigError: the CLI raises it for keys and values, converts the ValueError
 of anything it builds from the config (grid, measure, initial field, step
 parameters, input files), and the library raises it for a smoothing width
-outside (0, 1] and for study inputs.  Any other exception is a bug and
-propagates.  An empty ``variant`` or a zero ``n_samples`` is not passed on,
-so the called function's own default applies.
+outside (0, 1], for a Poisson window or intensity it cannot draw from, and
+for study inputs.  Any other exception is a bug and propagates.  An empty
+``variant`` or a zero ``n_samples`` is not passed on, so the called
+function's own default applies.
 """
 from __future__ import annotations
 

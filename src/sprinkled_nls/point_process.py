@@ -6,18 +6,19 @@ independent Bernoulli site occupation (spacing h, probability p; h = p = 1
 gives the full integer comb), and a fixed-count ensemble of n independent
 uniform positions.  For a non-negative compactly supported test function phi,
 the Laplace functional E exp(-integral phi dmu) has a closed form for each
-model; the empirical estimator averages exp(-sum m_j phi(y_j)) over seeded
+model; the empirical estimator averages exp(-sum m_j phi(y_j)) over
 independent samples.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import rng as _rng
+from .errors import ConfigError
 from .payload import write_csv, write_json
 
 __all__ = [
@@ -48,19 +49,18 @@ class AtomicMeasure:
 
     def __post_init__(self):
         a, b = float(self.window[0]), float(self.window[1])
-        if not (a < b):
-            raise ValueError("window must satisfy a < b")
+        if not (-np.inf < a < b < np.inf):
+            raise ValueError("window must be finite with a < b")
         pos = np.asarray(self.positions, dtype=float).copy()
         mas = np.asarray(self.masses, dtype=float).copy()
         if pos.shape != mas.shape or pos.ndim != 1:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
-        if pos.size and (np.any(pos < a) or np.any(pos > b)):
+        # NaN fails every comparison, so these also reject non-finite atoms
+        if not ((a <= pos) & (pos <= b)).all():
             raise ValueError("atom positions must lie inside the window")
-        if np.any(~np.isfinite(pos)) or np.any(~np.isfinite(mas)):
-            raise ValueError("atoms must be finite")
-        if np.any(mas <= 0):
-            raise ValueError("atom masses must be positive")
-        if pos.size and np.any(np.diff(pos) < 0):
+        if not ((0 < mas) & (mas < np.inf)).all():
+            raise ValueError("atom masses must be positive and finite")
+        if (pos[1:] < pos[:-1]).any():
             order = np.argsort(pos, kind="stable")
             pos, mas = pos[order], mas[order]
         pos.setflags(write=False)
@@ -124,8 +124,8 @@ def sample_poisson(window: tuple[float, float], intensity: float,
     """Homogeneous Poisson process: count ~ Poisson(intensity * |window|),
     positions i.i.d. uniform, unit masses."""
     a, b = float(window[0]), float(window[1])
-    if not (a < b) or intensity <= 0:
-        raise ValueError("need a < b and intensity > 0")
+    if not (-np.inf < a < b < np.inf and 0 < intensity < np.inf):
+        raise ConfigError("need a finite window a < b and a finite intensity > 0")
     gen = _rng.generator(seed)
     count = int(gen.poisson(intensity * (b - a)))
     positions = np.sort(gen.uniform(a, b, size=count))
@@ -222,24 +222,21 @@ def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float
     return float((1.0 + integral / (b - a)) ** n)
 
 
-def empirical_laplace_functional(sampler: Callable[[int], AtomicMeasure],
-                                 phis: Sequence[TestFunction], n_samples: int,
-                                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+def empirical_laplace_functional(samples: Iterable[AtomicMeasure],
+                                 phis: Sequence[TestFunction]
+                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates (means, standard errors) of E exp(-integral phi
     dmu), one entry per test function, all on one sample set.
 
-    Sample i draws from the substream (seed, i), so the estimates are
-    reproducible and independent of evaluation order.
+    ``samples`` is any iterable of at least two independent measures, such as
+    ``studies.poisson_sweep``; it is read once, in order.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
-    vals = np.empty((n_samples, len(phis)))
-    for i in range(n_samples):
-        mu = sampler(_rng.substream_seed(seed, i))
-        for j, phi in enumerate(phis):
-            vals[i, j] = np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
+    vals = np.array([[np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
+                      for phi in phis] for mu in samples])
+    if len(vals) < 2:
+        raise ValueError("need at least two samples")
     means = np.mean(vals, axis=0)
-    stderrs = np.std(vals, axis=0, ddof=1) / np.sqrt(n_samples)
+    stderrs = np.std(vals, axis=0, ddof=1) / np.sqrt(len(vals))
     return means, stderrs
 
 

@@ -2,8 +2,8 @@
 
 Every stochastic routine in the package takes an integer seed and builds its
 generator through this module, so identical seeds give bit-identical output.
-Monte-Carlo sweeps derive one independent substream per sample from
-(master seed, sample index); the derivation is order-free, so sweeps can be
+Monte-Carlo sweeps draw through ``studies.poisson_sweep``: sample i uses the
+substream (master seed, i).  The derivation is order-free, so sweeps can be
 chunked or parallelized without changing any draw.
 """
 from __future__ import annotations

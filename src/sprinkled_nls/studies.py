@@ -9,7 +9,7 @@ a bad one, which the CLI reports as a configuration problem.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
 from .solver import SolverParams, evolve_many, evolve_regularized
 
 __all__ = [
+    "poisson_sweep",
     "StudyReport",
     "save_report_csv",
     "save_report_json",
@@ -37,6 +38,15 @@ __all__ = [
     "moment_study",
     "laplace_study",
 ]
+
+
+def poisson_sweep(window: tuple[float, float], intensity: float, seed: int,
+                  n_samples: int) -> Iterator[AtomicMeasure]:
+    """Lazily draw a Monte-Carlo sweep: sample i is the Poisson measure of
+    substream (seed, i), so every sample is reproducible and independent of
+    the order in which the samples are read."""
+    for i in range(n_samples):
+        yield sample_poisson(window, intensity, _rng.substream_seed(seed, i))
 
 
 @dataclass
@@ -269,8 +279,6 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     """
     if n_samples < 1000:
         raise ConfigError("need at least 1000 samples for stable statistics")
-    if not intensity > 0:
-        raise ConfigError("intensity must be positive")
     if profiles is None:
         profiles = _default_profiles(Grid(32.0, 4096))
     if not profiles:
@@ -285,15 +293,15 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     # are computed once and paired with every sampled profile
     pairs = [hat_moments(profiles[k]) for k in names]
     ks = pairs[0][0]
+    origin = int(np.flatnonzero(ks == 0)[0])  # ks spans [-L, L], so holds 0
     moments = np.array([h for _, h in pairs])
 
     n0sq = np.empty(n_samples)
     wsq = np.zeros((n_samples, len(names)))
-    for i in range(n_samples):
-        mu = sample_poisson(window, intensity, _rng.substream_seed(seed, i))
-        profile = weight_profile(mu)
-        n0sq[i] = profile.nk_squared(0)
-        wsq[i] = moments @ profile.nk_squared(ks)
+    for i, mu in enumerate(poisson_sweep(window, intensity, seed, n_samples)):
+        nk2 = weight_profile(mu).nk_squared(ks)
+        n0sq[i] = nk2[origin]
+        wsq[i] = moments @ nk2
 
     half = float(np.mean(n0sq[: n_samples // 2]))
     full = float(np.mean(n0sq))
@@ -328,6 +336,12 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
          "moment_ratio_bound": bound, "moment_ratio_bound_p2": bound_p2})
 
 
+def _gap_ladder(checks: Sequence[str], gaps: Sequence[float]) -> list[tuple]:
+    """Report rows asserting that each gap falls below the one before it."""
+    return [(check, gap, 0.0, prev, gap < prev)
+            for check, gap, prev in zip(checks, gaps, [np.inf, *gaps[:-1]])]
+
+
 def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     """Sampler validation against closed-form Laplace functionals.
 
@@ -345,57 +359,43 @@ def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     heights = (0.5, 1.0, 2.0)
     phis = [smoothed_indicator(0.0, 1.0, height=h) for h in heights]
 
-    count_seed = _rng.substream_seed(seed, 0)
-    lf_seed = _rng.substream_seed(seed, 1)
-
-    counts = np.empty(n_samples)
-    for i in range(n_samples):
-        mu = sample_poisson((0.0, 10.0), 1.0, _rng.substream_seed(count_seed, i))
-        counts[i] = mu.count
+    counts = np.array([mu.count for mu in poisson_sweep(
+        (0.0, 10.0), 1.0, _rng.substream_seed(seed, 0), n_samples)], dtype=float)
     c_mean = float(np.mean(counts))
     se_mean = float(np.std(counts, ddof=1) / np.sqrt(n_samples))
-    d = counts - c_mean
     m2 = float(np.var(counts, ddof=1))
-    m4 = float(np.mean(d**4))
+    m4 = float(np.mean((counts - c_mean)**4))
     se_var = float(np.sqrt(max(m4 - (n_samples - 3) / (n_samples - 1) * m2**2,
                                0.0) / n_samples))
 
-    emp, se = empirical_laplace_functional(
-        lambda s: sample_poisson((-1.0, 2.0), 1.0, s), phis, n_samples, lf_seed)
+    emp, se = empirical_laplace_functional(poisson_sweep(
+        (-1.0, 2.0), 1.0, _rng.substream_seed(seed, 1), n_samples), phis)
     closed = np.array([poisson_laplace_functional(phi) for phi in phis])
 
-    phi1 = phis[1]
     target = closed[1]
     bern_ps = (0.25, 0.0625, 0.015625)
-    bern_gaps = [abs(bernoulli_laplace_functional(phi1, p, p) - target)
-                 for p in bern_ps]
     fixed_ws = (10, 100, 1000)
-    fixed_gaps = [abs(fixed_count_laplace_functional(phi1, (-1.0, w - 1.0), w)
-                      - target) for w in fixed_ws]
-
-    rows: list[tuple[str, float, float, float, bool]] = [
-        ("count_mean", c_mean, 10.0, 4 * se_mean, abs(c_mean - 10) <= 4 * se_mean),
-        ("count_var", m2, 10.0, 4 * se_var, abs(m2 - 10) <= 4 * se_var),
-    ]
-    for h, e, s, c in zip(heights, emp, se, closed):
-        rows.append((f"lf_height_{h:g}", float(e), float(c), 3 * float(s),
-                     abs(e - c) <= 3 * s))
-    prev = float("inf")
-    for p, gap in zip(bern_ps, bern_gaps):
-        rows.append((f"bernoulli_gap_p_{p:g}", gap, 0.0, prev, gap < prev))
-        prev = gap
-    prev = float("inf")
-    for w, gap in zip(fixed_ws, fixed_gaps):
-        rows.append((f"fixed_count_gap_n_{w}", gap, 0.0, prev, gap < prev))
-        prev = gap
-
-    flags = {
-        "count_mean": rows[0][4],
-        "count_variance": rows[1][4],
-        "lf_within_3se": all(r[4] for r in rows[2:5]),
-        "bernoulli_ladder_decreasing": all(r[4] for r in rows[5:8]),
-        "fixed_count_ladder_decreasing": all(r[4] for r in rows[8:11]),
+    # rows (check, observed, expected, tolerance, ok), grouped by their flag
+    blocks = {
+        "count_mean": [("count_mean", c_mean, 10.0, 4 * se_mean,
+                        abs(c_mean - 10) <= 4 * se_mean)],
+        "count_variance": [("count_var", m2, 10.0, 4 * se_var,
+                            abs(m2 - 10) <= 4 * se_var)],
+        "lf_within_3se": [(f"lf_height_{h:g}", float(e), float(c), 3 * float(s),
+                           abs(e - c) <= 3 * s)
+                          for h, e, s, c in zip(heights, emp, se, closed)],
+        "bernoulli_ladder_decreasing": _gap_ladder(
+            [f"bernoulli_gap_p_{p:g}" for p in bern_ps],
+            [abs(bernoulli_laplace_functional(phis[1], p, p) - target)
+             for p in bern_ps]),
+        "fixed_count_ladder_decreasing": _gap_ladder(
+            [f"fixed_count_gap_n_{w}" for w in fixed_ws],
+            [abs(fixed_count_laplace_functional(phis[1], (-1.0, w - 1.0), w)
+                 - target) for w in fixed_ws]),
     }
+    rows = [row for block in blocks.values() for row in block]
+    flags = {name: all(row[4] for row in block)
+             for name, block in blocks.items()}
     return StudyReport(
         "laplace",
         {"seed": seed, "n_samples": n_samples, "heights": list(heights)},

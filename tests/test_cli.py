@@ -154,6 +154,15 @@ def test_exit_codes(tmp_path):
                   ["initial=random", "spectral_width=nan"]):
         assert run("solve", "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, pairs
+    # a non-finite window or intensity, whether the measure is drawn or empty
+    for command, pairs in (
+            ("sample", ["measure=none", "window_lo=-inf"]),
+            ("solve", ["measure=none", "window_lo=-inf"]),
+            ("study", ["study=moments", "intensity=inf"]),
+            ("study", ["study=moments", "window_lo=-inf"]),
+            ("study", ["study=moments", "window_hi=nan"])):
+        assert run(command, "--out", str(tmp_path / "x"),
+                   *overrides(*pairs)) == 2, (command, pairs)
     assert run("solve", "--out", str(tmp_path / "x"), "--override",
                "initial=file", "--override",
                f"field_file={tmp_path / 'missing.csv'}") == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.point_process import (AtomicMeasure,
                                          bernoulli_laplace_functional,
                                          empirical_laplace_functional,
@@ -14,6 +15,9 @@ from sprinkled_nls.point_process import (AtomicMeasure,
                                          sample_fixed_count, sample_poisson,
                                          save_atoms_csv, save_atoms_json,
                                          smoothed_indicator)
+from sprinkled_nls.rng import substream_seed
+from sprinkled_nls import studies
+from sprinkled_nls.studies import poisson_sweep
 
 # frozen closed forms exp(-int (1 - e^-phi)) for smoothed indicators of [0, 1]
 # at heights 1/2, 1, 2 (50-digit arithmetic, ramp 0.05)
@@ -24,14 +28,17 @@ FIXED_LF_N10 = 0.39884696750647242
 
 
 def test_atomic_measure_validation():
-    with pytest.raises(ValueError):
-        AtomicMeasure((1.0, -1.0), np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        AtomicMeasure((-1.0, 1.0), np.array([2.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        AtomicMeasure((-1.0, 1.0), np.array([0.0]), np.array([-1.0]))
-    with pytest.raises(ValueError):
-        AtomicMeasure((-1.0, 1.0), np.array([np.nan]), np.array([1.0]))
+    for window, positions, masses in (
+            ((1.0, -1.0), [0.0], [1.0]),
+            ((-1.0, 1.0), [2.0], [1.0]),
+            ((-1.0, 1.0), [0.0], [-1.0]),
+            ((-1.0, 1.0), [np.nan], [1.0]),
+            ((-1.0, 1.0), [0.0], [np.inf]),
+            ((-1.0, 1.0), [0.0], [np.nan]),
+            ((-np.inf, 1.0), [0.0], [1.0]),
+            ((-1.0, np.nan), [], [])):
+        with pytest.raises(ValueError):
+            AtomicMeasure(window, np.array(positions), np.array(masses))
 
 
 def test_atomic_measure_sorts_atoms():
@@ -59,10 +66,11 @@ def test_sample_poisson_deterministic():
 
 
 def test_sample_poisson_rejects_bad_args():
-    with pytest.raises(ValueError):
-        sample_poisson((1.0, -1.0), 1.0, 0)
-    with pytest.raises(ValueError):
-        sample_poisson((-1.0, 1.0), 0.0, 0)
+    for window, intensity in (((1.0, -1.0), 1.0), ((-1.0, 1.0), 0.0),
+                              ((-1.0, 1.0), np.inf), ((-1.0, 1.0), np.nan),
+                              ((-np.inf, 1.0), 1.0), ((-1.0, np.nan), 1.0)):
+        with pytest.raises(ConfigError):
+            sample_poisson(window, intensity, 0)
 
 
 def test_sample_comb_hits_integers():
@@ -158,18 +166,50 @@ def test_laplace_ladders_approach_poisson():
 def test_empirical_laplace_functional_matches_closed_form():
     phi = smoothed_indicator(0.0, 1.0, height=2.0)
     (mean,), (se,) = empirical_laplace_functional(
-        lambda s: sample_poisson((-1.0, 2.0), 1.0, s), [phi], 2000, seed=99)
+        poisson_sweep((-1.0, 2.0), 1.0, 99, 2000), [phi])
     assert se < 0.02
     assert abs(mean - poisson_laplace_functional(phi)) <= 3 * se
 
 
 def test_empirical_laplace_functional_reproducible():
     phis = [smoothed_indicator(0.0, 1.0), smoothed_indicator(0.5, 1.5)]
-    sampler = lambda s: sample_poisson((0.0, 2.0), 1.0, s)
-    a = empirical_laplace_functional(sampler, phis, 64, seed=5)
-    b = empirical_laplace_functional(sampler, phis, 64, seed=5)
+    a = empirical_laplace_functional(poisson_sweep((0.0, 2.0), 1.0, 5, 64), phis)
+    b = empirical_laplace_functional(list(poisson_sweep((0.0, 2.0), 1.0, 5, 64)),
+                                     phis)
     np.testing.assert_array_equal(a, b)
     assert a[0].shape == a[1].shape == (2,)
+    with pytest.raises(ValueError):
+        empirical_laplace_functional(poisson_sweep((0.0, 2.0), 1.0, 5, 1), phis)
+
+
+def test_poisson_sweep_draws_substream_per_sample():
+    """Sample i is the Poisson measure of substream (seed, i), bit for bit."""
+    window, seed = (-4.0, 6.0), 17
+    swept = list(poisson_sweep(window, 2.0, seed, 5))
+    assert len(swept) == 5
+    for i, mu in enumerate(swept):
+        ref = sample_poisson(window, 2.0, substream_seed(seed, i))
+        assert mu.window == ref.window
+        np.testing.assert_array_equal(mu.positions, ref.positions)
+        np.testing.assert_array_equal(mu.masses, ref.masses)
+
+
+def test_poisson_sweep_is_lazy(monkeypatch):
+    """A billion-sample sweep yields its first measure after one draw.  The
+    counting stub stops an eager sweep after a few draws instead of letting
+    it run on."""
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        assert len(drawn) <= 3, "the sweep draws ahead of its reader"
+        return sample_poisson(*args)
+
+    monkeypatch.setattr(studies, "sample_poisson", counted)
+    first = next(poisson_sweep((0.0, 1.0), 1.0, 3, 10**9))
+    assert len(drawn) == 1
+    ref = sample_poisson((0.0, 1.0), 1.0, substream_seed(3, 0))
+    np.testing.assert_array_equal(first.positions, ref.positions)
 
 
 def test_atoms_json_round_trip(tmp_path):

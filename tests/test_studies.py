@@ -182,15 +182,19 @@ def test_moment_window_insensitive():
 
 def test_moment_pairing_equals_weighted_norm():
     """The study pairs each field's hat moments with every sampled profile;
-    that is the squared weighted norm of the field against each sample."""
+    that is the squared weighted norm of the field against each sample.  Its
+    N_0^2 comes from the same paired row."""
     f = gaussian_field(Grid(16.0, 512), sigma=2.0, center=1.5)
     window, seed, n = (-16.0, 16.0), 3, 1000
     rep = moment_study({"f": f}, n, seed, window=window)
-    direct = np.mean([weighted_l2_norm(f, weight_profile(
-        sample_poisson(window, 1.0, substream_seed(seed, i)))) ** 2
-        for i in range(n)])
+    profiles = [weight_profile(sample_poisson(window, 1.0,
+                                              substream_seed(seed, i)))
+                for i in range(n)]
+    direct = np.mean([weighted_l2_norm(f, p) ** 2 for p in profiles])
     assert rep.columns["mean_weighted_squared"][0] == pytest.approx(
         direct, rel=1e-14)
+    assert rep.rates["n0_squared_full"] == pytest.approx(
+        np.mean([p.nk_squared(0) for p in profiles]), rel=1e-14)
 
 
 def test_laplace_study_smoke():
