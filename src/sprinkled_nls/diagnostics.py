@@ -20,9 +20,7 @@ from .point_process import AtomicMeasure
 
 __all__ = [
     "mass",
-    "kinetic_energy",
     "energy",
-    "atomic_energy",
     "quartic_measure_integral",
     "tail_norms",
 ]
@@ -55,11 +53,6 @@ def quartic_measure_integral(f: WaveField, mu: AtomicMeasure) -> float:
         return 0.0
     vals = evaluate_at(f, mu.positions)
     return float(np.dot(mu.masses, np.abs(vals) ** 4))
-
-
-def atomic_energy(f: WaveField, mu: AtomicMeasure) -> float:
-    """Energy with the interaction taken against the measure itself."""
-    return kinetic_energy(f) + 0.5 * quartic_measure_integral(f, mu)
 
 
 def tail_norms(states, lam: float) -> np.ndarray:

@@ -7,9 +7,9 @@ class SprinkledNLSError(Exception):
 
 class ConfigError(SprinkledNLSError, ValueError):
     """Invalid configuration file, key, or value, a smoothing width outside
-    (0, 1], a Poisson window or intensity that is not finite and positive, or
-    a study input outside its domain; a ValueError, so callers that catch
-    ValueError see it too."""
+    (0, 1], a Poisson window or intensity that is not finite and positive or
+    whose mean atom count is too large to draw, or a study input outside its
+    domain; a ValueError, so callers that catch ValueError see it too."""
 
 
 class ResolutionError(SprinkledNLSError):

@@ -122,12 +122,17 @@ def smoothed_indicator(a: float, b: float, height: float = 1.0) -> TestFunction:
 def sample_poisson(window: tuple[float, float], intensity: float,
                    seed: int) -> AtomicMeasure:
     """Homogeneous Poisson process: count ~ Poisson(intensity * |window|),
-    positions i.i.d. uniform, unit masses."""
+    positions i.i.d. uniform, unit masses.  A bad window or intensity, or a
+    mean count too large for numpy to draw, raises ConfigError."""
     a, b = float(window[0]), float(window[1])
     if not (-np.inf < a < b < np.inf and 0 < intensity < np.inf):
         raise ConfigError("need a finite window a < b and a finite intensity > 0")
     gen = _rng.generator(seed)
-    count = int(gen.poisson(intensity * (b - a)))
+    try:
+        count = int(gen.poisson(intensity * (b - a)))
+    except ValueError as exc:  # numpy refuses a mean near 2^63 or above
+        raise ConfigError(f"mean atom count {intensity * (b - a):g} is too "
+                          "large to draw") from exc
     positions = np.sort(gen.uniform(a, b, size=count))
     return AtomicMeasure((a, b), positions, np.ones(count))
 

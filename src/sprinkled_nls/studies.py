@@ -9,6 +9,7 @@ a bad one, which the CLI reports as a configuration problem.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +19,8 @@ from .constants import CALIBRATION
 from .errors import ConfigError
 from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
                     random_field, sobolev_norm)
-from .measure import weight_profile, weighted_l2_norm
+from .measure import (interval_masses, nk_squared_table, weight_profile,
+                      weighted_l2_norm)
 from .mollify import VARIANTS, check_resolution, truncated_potential
 from .payload import write_csv, write_json
 from .point_process import (AtomicMeasure, bernoulli_laplace_functional,
@@ -262,6 +264,9 @@ def _default_profiles(grid: Grid) -> dict[str, WaveField]:
     }
 
 
+MOMENT_CHUNK = 64  # samples per table: 64 x 65 doubles on the default window
+
+
 def moment_study(profiles: Mapping[str, WaveField] | None = None,
                  n_samples: int = 20000, seed: int = 0, *,
                  window: tuple[float, float] = (-32.0, 32.0),
@@ -273,6 +278,11 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     frozen reference band.  For each field profile it checks the first and
     second moments of ||f||_{L^2_mu}^2 against the frozen ratio bounds:
     E X <= c ||f||_{L^2}^2 and E X^2 <= c_2 ||f||_{L^2}^4.
+
+    Samples are paired in chunks of MOMENT_CHUNK = 64: each chunk's N_k^2
+    at the grid's integers comes from one ``nk_squared_table`` over the
+    window's intervals, so every draw and every value is that of
+    ``weight_profile`` on the same sample.
 
     ``profiles`` maps names to fields; None gives three built-in Gaussians on
     the default grid.
@@ -298,10 +308,18 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
 
     n0sq = np.empty(n_samples)
     wsq = np.zeros((n_samples, len(names)))
-    for i, mu in enumerate(poisson_sweep(window, intensity, seed, n_samples)):
-        nk2 = weight_profile(mu).nk_squared(ks)
-        n0sq[i] = nk2[origin]
-        wsq[i] = moments @ nk2
+    sweep = poisson_sweep(window, intensity, seed, n_samples)
+    i = 0
+    while chunk := list(islice(sweep, MOMENT_CHUNK)):
+        # drawn measures carry a checked window; the table spans its intervals
+        a, b = chunk[0].window
+        k_lo = int(np.floor(a))
+        nk2 = nk_squared_table(interval_masses(chunk, k_lo, int(np.ceil(b))),
+                               k_lo, ks)
+        n0sq[i:i + len(chunk)] = nk2[:, origin]
+        for row in nk2:
+            wsq[i] = moments @ row
+            i += 1
 
     half = float(np.mean(n0sq[: n_samples // 2]))
     full = float(np.mean(n0sq))

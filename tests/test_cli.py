@@ -154,10 +154,13 @@ def test_exit_codes(tmp_path):
                   ["initial=random", "spectral_width=nan"]):
         assert run("solve", "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, pairs
-    # a non-finite window or intensity, whether the measure is drawn or empty
+    # a non-finite window or intensity, whether the measure is drawn or empty,
+    # or a mean atom count too large to draw
     for command, pairs in (
             ("sample", ["measure=none", "window_lo=-inf"]),
             ("solve", ["measure=none", "window_lo=-inf"]),
+            ("sample", ["intensity=1e300"]),
+            ("study", ["study=moments", "intensity=1e300"]),
             ("study", ["study=moments", "intensity=inf"]),
             ("study", ["study=moments", "window_lo=-inf"]),
             ("study", ["study=moments", "window_hi=nan"])):

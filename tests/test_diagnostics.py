@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls.diagnostics import (atomic_energy, energy, kinetic_energy,
-                                       mass, quartic_measure_integral,
-                                       tail_norms)
+from sprinkled_nls.diagnostics import (energy, kinetic_energy, mass,
+                                       quartic_measure_integral, tail_norms)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
                                  free_propagator, gaussian_field)
 from sprinkled_nls.mollify import truncated_potential
@@ -32,9 +31,11 @@ def test_energy_uniform_density(gauss, fine_grid):
 
 
 def test_atomic_energy_unit_atom(gauss, unit_atom):
-    # unit atom at the origin: kinetic + |f(0)|^4 / 2
-    assert atomic_energy(gauss, unit_atom) == pytest.approx(
-        GAUSS_KINETIC + 0.5, rel=1e-12)
+    """The energy with the interaction taken against the measure itself; a
+    unit atom at the origin gives kinetic + |f(0)|^4 / 2."""
+    got = (kinetic_energy(gauss)
+           + 0.5 * quartic_measure_integral(gauss, unit_atom))
+    assert got == pytest.approx(GAUSS_KINETIC + 0.5, rel=1e-12)
 
 
 def test_quartic_atom_sum(gauss):
@@ -55,10 +56,11 @@ def test_quartic_nonnegative_and_vanishes_off_atoms(fine_grid):
 
 
 def test_energy_gap_shrinks_with_mollification_width(gauss, fine_grid):
-    """energy(f, V_eps) converges to the atomic energy monotonically."""
+    """energy(f, V_eps) converges monotonically to the atomic energy, whose
+    interaction is taken against the measure itself."""
     mu = AtomicMeasure((-8.0, 8.0), np.array([-2.3, 0.0, 1.7]),
                        np.array([1.0, 2.0, 1.0]))
-    target = atomic_energy(gauss, mu)
+    target = kinetic_energy(gauss) + 0.5 * quartic_measure_integral(gauss, mu)
     gaps = [abs(energy(gauss, truncated_potential(mu, fine_grid, eps,
                                                   "mollified_only")) - target)
             for eps in (0.4, 0.2, 0.1, 0.05)]

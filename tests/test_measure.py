@@ -6,9 +6,9 @@ from scipy.integrate import quad
 from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.field import Grid, evaluate_at, l2_norm, random_field
-from sprinkled_nls.measure import (_occupied_interval_masses, block_norm, chi,
-                                   save_profile_csv, weight_profile,
-                                   weighted_l2_norm)
+from sprinkled_nls.measure import (block_norm, chi, interval_masses,
+                                   nk_squared_table, save_profile_csv,
+                                   weight_profile, weighted_l2_norm)
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 
 # frozen quad of exp(-2x^2) * max(4, 5-|x|); the single-atom weight is exact
@@ -38,7 +38,7 @@ def test_interval_mass_sums_atoms():
         weight_profile(mu).nk_squared(np.array([0, -1])),
         [4.0 + 3.5**2, 4.0 + 3.5**2 - 1.0])
     light = atoms(-0.4, 0.1, 0.3, masses=[0.1, 0.2, 0.3])
-    assert _occupied_interval_masses(light)[1].tolist() == [(0.1 + 0.2) + 0.3]
+    assert interval_masses([light], 0, 0).tolist() == [[(0.1 + 0.2) + 0.3]]
     assert weight_profile(light).nk_squared(0) == 4.0 + ((0.1 + 0.2) + 0.3)**2
 
 
@@ -94,18 +94,72 @@ finite_atoms = st.lists(
     min_size=1, max_size=6)
 
 
-@given(finite_atoms)
-def test_interval_masses_match_per_atom_loop(pairs):
-    """The pooled masses equal an atom-by-atom sum in position order, bit for
-    bit."""
-    mu = atoms(*[p for p, _ in pairs], masses=[m for _, m in pairs])
+def _pooled(mu):
+    """Interval masses by an atom-by-atom sum in position order."""
     pooled: dict[int, float] = {}
     for y, m in zip(mu.positions, mu.masses):
         k = int(np.floor(y + 0.5))
         pooled[k] = pooled.get(k, 0.0) + float(m)
-    ls, lmass = _occupied_interval_masses(mu)
-    assert ls.tolist() == sorted(pooled)
-    assert lmass.tolist() == [pooled[k] for k in sorted(pooled)]
+    return pooled
+
+
+@given(finite_atoms)
+def test_interval_masses_match_per_atom_loop(pairs):
+    """The pooled masses equal an atom-by-atom sum in position order, bit for
+    bit, and the rows of one table never mix: a measure binned between an
+    empty one and itself gives the same row twice."""
+    mu = atoms(*[p for p, _ in pairs], masses=[m for _, m in pairs])
+    pooled = _pooled(mu)
+    table = interval_masses([mu, atoms(), mu], -9, 9)
+    want = [pooled.get(k, 0.0) for k in range(-9, 10)]
+    assert table.tolist() == [want, [0.0] * 19, want]
+
+
+def test_interval_masses_reject_atoms_outside_range():
+    with pytest.raises(ValueError):
+        interval_masses([atoms(0.0), atoms(3.6)], -3, 3)
+
+
+def _direct_nk_squared(mu, ks):
+    """The oracle: 4 + max(0, max_l m_l^2 - |k - l|), broadcast over all
+    (k, l) pairs of integers and occupied intervals."""
+    pooled = _pooled(mu)
+    if not pooled:
+        return np.full(ks.size, 4.0)
+    ls = np.array(sorted(pooled), dtype=np.int64)
+    lmass = np.array([pooled[k] for k in sorted(pooled)])
+    contrib = lmass[None, :] ** 2 - np.abs(ks[:, None] - ls[None, :])
+    return 4.0 + np.maximum(0.0, contrib.max(axis=1))
+
+
+envelope_masses = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 10.0),
+                            st.floats(10.0, 60.0))
+# coinciding fractions put several atoms in one interval
+envelope_atoms = st.lists(
+    st.tuples(st.one_of(st.floats(0.0, 1.0),
+                        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+              envelope_masses), max_size=20)
+
+
+@given(st.floats(-40.0, 40.0), st.floats(0.5, 30.0),
+       st.lists(envelope_atoms, min_size=1, max_size=3), st.integers(0, 80))
+def test_envelope_equals_direct_formula(lo, width, rows, reach):
+    """A table over the window's intervals gives, row by row, the direct
+    formula bit for bit at every integer up to ``reach`` past its edges:
+    the doubling envelope inside, its continuation outside.  So does
+    weight_profile, its one-row case."""
+    window = (lo, lo + width)
+    measures = [atoms(*[lo + u * width for u, _ in row],
+                      masses=[m for _, m in row], window=window)
+                for row in rows]
+    k_start, k_end = int(np.floor(lo)), int(np.ceil(lo + width))
+    ks = np.arange(k_start - reach, k_end + reach + 1)
+    got = nk_squared_table(interval_masses(measures, k_start, k_end),
+                           k_start, ks)
+    want = [_direct_nk_squared(mu, ks) for mu in measures]
+    assert got.tolist() == [w.tolist() for w in want]
+    for mu, w in zip(measures, want):
+        assert weight_profile(mu).nk_squared(ks).tolist() == w.tolist()
 
 
 @given(finite_atoms)

@@ -68,7 +68,10 @@ def test_sample_poisson_deterministic():
 def test_sample_poisson_rejects_bad_args():
     for window, intensity in (((1.0, -1.0), 1.0), ((-1.0, 1.0), 0.0),
                               ((-1.0, 1.0), np.inf), ((-1.0, 1.0), np.nan),
-                              ((-np.inf, 1.0), 1.0), ((-1.0, np.nan), 1.0)):
+                              ((-np.inf, 1.0), 1.0), ((-1.0, np.nan), 1.0),
+                              # mean counts numpy cannot draw; the last is inf
+                              ((-1.0, 1.0), 1e300), ((-1e300, 1e300), 1.0),
+                              ((-1e300, 1e300), 1e300)):
         with pytest.raises(ConfigError):
             sample_poisson(window, intensity, 0)
 

@@ -6,7 +6,7 @@ import pytest
 
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls.field import Grid, gaussian_field
+from sprinkled_nls.field import Grid, gaussian_field, hat_moments
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import substream_seed
@@ -195,6 +195,27 @@ def test_moment_pairing_equals_weighted_norm():
         direct, rel=1e-14)
     assert rep.rates["n0_squared_full"] == pytest.approx(
         np.mean([p.nk_squared(0) for p in profiles]), rel=1e-14)
+
+
+@pytest.mark.parametrize("window", [(-40.0, 40.0), (-5.0, 5.0)],
+                         ids=["wider_than_grid", "narrower_than_grid"])
+def test_moment_chunks_equal_per_sample_profiles(window):
+    """1001 samples make 15 full chunks and a ragged one of 41.  Each chunk's
+    table spans the grid and the window, so the study reads exactly the N_k^2
+    of each sample's own profile, paired in the same order and arithmetic."""
+    f = gaussian_field(Grid(32.0, 4096), sigma=2.0, center=1.5)
+    seed, n = 4, 1001
+    rep = moment_study({"f": f}, n, seed, window=window)
+    ks, h = hat_moments(f)
+    n0sq, wsq = np.empty(n), np.zeros((n, 1))
+    for i in range(n):
+        mu = sample_poisson(window, 1.0, substream_seed(seed, i))
+        nk2 = weight_profile(mu).nk_squared(ks)
+        n0sq[i] = nk2[ks == 0][0]
+        wsq[i] = h[None, :] @ nk2
+    assert rep.rates["n0_squared_full"] == float(np.mean(n0sq))
+    assert rep.columns["mean_weighted_squared"] == \
+        np.mean(wsq, axis=0).tolist()
 
 
 def test_laplace_study_smoke():
