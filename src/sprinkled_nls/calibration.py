@@ -74,12 +74,18 @@ def measure_dispersive() -> tuple[float, float]:
     return min(vals), max(vals)
 
 
+def _sweep_measures(window: tuple[float, float], seed: int, n_samples: int):
+    """The unit-intensity sweep's samples one AtomicMeasure at a time."""
+    for batch in poisson_sweep(window, 1.0, seed, n_samples):
+        yield from map(batch.measure, range(len(batch)))
+
+
 def measure_norm_equivalence(n_cases: int) -> tuple[float, float]:
     """Observed range of block_norm^2 / weighted_l2_norm^2."""
     grid = Grid(32.0, 4096)
     gen = _rng.generator(SEED + 2)
     lo, hi = np.inf, 0.0
-    for mu in poisson_sweep((-32.0, 32.0), 1.0, SEED + 3, n_cases):
+    for mu in _sweep_measures((-32.0, 32.0), SEED + 3, n_cases):
         profile = weight_profile(mu)
         for width in (1.0, 4.0):
             f = random_field(grid, gen, spectral_width=width)
@@ -99,7 +105,7 @@ def measure_localized_mass(n_samples: int) -> float:
     """Largest observed integral of chi_k against a mollified measure / N_k."""
     grid = Grid(32.0, 4096)
     best = 0.0
-    for mu in poisson_sweep((-30.0, 30.0), 1.0, SEED + 4, n_samples):
+    for mu in _sweep_measures((-30.0, 30.0), SEED + 4, n_samples):
         profile = weight_profile(mu)
         for eps in (0.05, 0.2):
             dens = mollified_density(mu, grid, eps)

@@ -237,9 +237,11 @@ def _write_manifest(out: Path, command: str, cfg: dict,
 def cmd_sample(cfg: dict) -> int:
     out = _out_dir(cfg)
     mu = _build_measure(cfg)
+    with _configured("window"):
+        profile = weight_profile(mu)
     save_atoms_csv(mu, out / "atoms.csv")
     save_atoms_json(mu, out / "atoms.json")
-    save_profile_csv(weight_profile(mu), out / "profile.csv")
+    save_profile_csv(profile, out / "profile.csv")
     _write_manifest(out, "sample", cfg,
                     [out / "atoms.csv", out / "atoms.json", out / "profile.csv"])
     print(f"wrote {mu.count} atoms -> {out / 'atoms.csv'}")

@@ -43,7 +43,6 @@ intervals thus gives N_k^2 at any integer k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -105,21 +104,26 @@ class WeightProfile:
         return left + frac * (right - left)
 
 
-def interval_masses(measures: Sequence[AtomicMeasure], k_start: int,
-                    k_end: int) -> np.ndarray:
+def interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
+                    k_start: int, k_end: int) -> np.ndarray:
     """(B, K) table of mu_b(I_k) for k in [k_start, k_end], one row per
-    measure, binned by one bincount over (sample, interval) keys; each
-    interval's atoms are added in position order."""
+    sample of concatenated atoms (sample b is ``offsets[b]:offsets[b + 1]``;
+    one measure is ``offsets = [0, count]``), binned by one bincount over
+    (sample, interval) keys; each interval's atoms are added in position
+    order.  A range whose keys do not fit int64 raises ValueError before
+    anything is allocated, as does an atom outside the range."""
+    counts = np.diff(offsets)
     width = k_end - k_start + 1
-    cols = np.floor(np.concatenate([mu.positions for mu in measures])
-                    + 0.5).astype(np.int64) - k_start
-    if cols.size and not (0 <= cols.min() and cols.max() < width):
+    if not (-2**63 <= k_start and k_end < 2**63
+            and counts.size * width < 2**63):
+        raise ValueError("the window's interval table does not fit int64")
+    keys = np.floor(positions + 0.5).astype(np.int64)
+    keys -= k_start
+    if keys.size and not (0 <= keys.min() and keys.max() < width):
         raise ValueError(f"atoms outside the intervals [{k_start}, {k_end}]")
-    rows = np.repeat(np.arange(len(measures)), [mu.count for mu in measures])
-    return np.bincount(rows * width + cols,
-                       np.concatenate([mu.masses for mu in measures]),
-                       minlength=len(measures) * width
-                       ).reshape(len(measures), width)
+    keys += np.repeat(np.arange(0, counts.size * width, width), counts)
+    return np.bincount(keys, masses, minlength=counts.size * width
+                       ).reshape(counts.size, width)
 
 
 def nk_squared_table(masses: np.ndarray, k_start: int, ks) -> np.ndarray:
@@ -153,7 +157,8 @@ def weight_profile(mu: AtomicMeasure) -> WeightProfile:
     if mu.count:  # rounding can put an edge atom's interval past the window
         k_start = min(k_start, int(np.floor(mu.positions[0] + 0.5)))
         k_end = max(k_end, int(np.floor(mu.positions[-1] + 0.5)))
-    masses = interval_masses([mu], k_start, k_end)
+    masses = interval_masses(mu.positions, mu.masses, [0, mu.count],
+                             k_start, k_end)
     margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + masses.max() ** 2)) \
         if mu.count else 0
     ks = np.arange(k_start - margin, k_end + margin + 1)

@@ -23,6 +23,7 @@ from .payload import write_csv, write_json
 
 __all__ = [
     "AtomicMeasure",
+    "PoissonBatch",
     "TestFunction",
     "smoothed_indicator",
     "sample_poisson",
@@ -39,6 +40,23 @@ __all__ = [
 ]
 
 
+def _checked_positions(window, positions) -> tuple[tuple[float, float],
+                                                   np.ndarray]:
+    """The window as floats and a private copy of the positions, after
+    checking that the window is finite with a < b and that the positions are
+    a 1-d array inside it (NaN fails every comparison, so a non-finite atom
+    fails too)."""
+    a, b = float(window[0]), float(window[1])
+    if not (-np.inf < a < b < np.inf):
+        raise ValueError("window must be finite with a < b")
+    pos = np.array(positions, dtype=float)
+    if pos.ndim != 1:
+        raise ValueError("atom positions must be a 1-d array")
+    if not ((a <= pos) & (pos <= b)).all():
+        raise ValueError("atom positions must lie inside the window")
+    return (a, b), pos
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finite sum of point masses m_j at positions y_j inside a window."""
@@ -48,16 +66,11 @@ class AtomicMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        a, b = float(self.window[0]), float(self.window[1])
-        if not (-np.inf < a < b < np.inf):
-            raise ValueError("window must be finite with a < b")
-        pos = np.asarray(self.positions, dtype=float).copy()
+        (a, b), pos = _checked_positions(self.window, self.positions)
         mas = np.asarray(self.masses, dtype=float).copy()
-        if pos.shape != mas.shape or pos.ndim != 1:
+        if pos.shape != mas.shape:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
-        # NaN fails every comparison, so these also reject non-finite atoms
-        if not ((a <= pos) & (pos <= b)).all():
-            raise ValueError("atom positions must lie inside the window")
+        # NaN fails every comparison, so this also rejects non-finite masses
         if not ((0 < mas) & (mas < np.inf)).all():
             raise ValueError("atom masses must be positive and finite")
         if (pos[1:] < pos[:-1]).any():
@@ -72,6 +85,45 @@ class AtomicMeasure:
     @property
     def count(self) -> int:
         return int(self.positions.size)
+
+
+@dataclass(frozen=True)
+class PoissonBatch:
+    """Unit-mass samples drawn together: every sample's positions
+    concatenated, sample j being ``positions[offsets[j]:offsets[j + 1]]``.
+    The atoms are checked as AtomicMeasure checks them, in one pass over
+    the whole batch."""
+
+    window: tuple[float, float]
+    positions: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        (a, b), pos = _checked_positions(self.window, self.positions)
+        offsets = np.asarray(self.offsets, dtype=np.int64).copy()
+        if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0 \
+                or offsets[-1] != pos.size or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError("offsets must rise from 0 to the atom count")
+        # the step into a sample's first atom may descend; no other may
+        first = offsets[1:-1]
+        first = first[(0 < first) & (first < pos.size)]
+        descending = pos[1:] < pos[:-1]
+        descending[first - 1] = False
+        if descending.any():
+            raise ValueError("each sample's positions must be sorted")
+        pos.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "window", (a, b))
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "offsets", offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def measure(self, j: int) -> AtomicMeasure:
+        """Sample j as an AtomicMeasure."""
+        pos = self.positions[self.offsets[j]:self.offsets[j + 1]]
+        return AtomicMeasure(self.window, pos, np.ones(pos.size))
 
 
 @dataclass(frozen=True)
@@ -119,22 +171,40 @@ def smoothed_indicator(a: float, b: float, height: float = 1.0) -> TestFunction:
 
 # --- samplers ---
 
-def sample_poisson(window: tuple[float, float], intensity: float,
-                   seed: int) -> AtomicMeasure:
-    """Homogeneous Poisson process: count ~ Poisson(intensity * |window|),
-    positions i.i.d. uniform, unit masses.  A bad window or intensity, or a
-    mean count too large for numpy to draw, raises ConfigError."""
-    a, b = float(window[0]), float(window[1])
-    if not (-np.inf < a < b < np.inf and 0 < intensity < np.inf):
-        raise ConfigError("need a finite window a < b and a finite intensity > 0")
+def _poisson_positions(a: float, b: float, intensity: float,
+                       seed) -> np.ndarray:
+    """One sample's sorted positions: the count, then the uniforms, from the
+    seed's own generator."""
     gen = _rng.generator(seed)
     try:
         count = int(gen.poisson(intensity * (b - a)))
     except ValueError as exc:  # numpy refuses a mean near 2^63 or above
         raise ConfigError(f"mean atom count {intensity * (b - a):g} is too "
                           "large to draw") from exc
-    positions = np.sort(gen.uniform(a, b, size=count))
-    return AtomicMeasure((a, b), positions, np.ones(count))
+    positions = gen.uniform(a, b, size=count)
+    positions.sort()
+    return positions
+
+
+def sample_poisson(window: tuple[float, float], intensity: float, seed
+                   ) -> AtomicMeasure | PoissonBatch:
+    """Homogeneous Poisson process: count ~ Poisson(intensity * |window|),
+    positions i.i.d. uniform, unit masses.  A bad window or intensity, or a
+    mean count too large for numpy to draw, raises ConfigError.
+
+    One seed (an int or a seed of ``rng.substream_seeds``) gives an
+    AtomicMeasure; a list of seeds gives a PoissonBatch whose sample j is,
+    bit for bit, the one-seed call on ``seed[j]``.
+    """
+    a, b = float(window[0]), float(window[1])
+    if not (-np.inf < a < b < np.inf and 0 < intensity < np.inf):
+        raise ConfigError("need a finite window a < b and a finite intensity > 0")
+    if isinstance(seed, list):
+        draws = [_poisson_positions(a, b, intensity, s) for s in seed]
+        return PoissonBatch((a, b), np.concatenate([np.empty(0), *draws]),
+                            np.cumsum([0] + [d.size for d in draws]))
+    positions = _poisson_positions(a, b, intensity, seed)
+    return AtomicMeasure((a, b), positions, np.ones(positions.size))
 
 
 def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
@@ -227,17 +297,24 @@ def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float
     return float((1.0 + integral / (b - a)) ** n)
 
 
-def empirical_laplace_functional(samples: Iterable[AtomicMeasure],
+def empirical_laplace_functional(samples: Iterable[PoissonBatch],
                                  phis: Sequence[TestFunction]
                                  ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates (means, standard errors) of E exp(-integral phi
     dmu), one entry per test function, all on one sample set.
 
-    ``samples`` is any iterable of at least two independent measures, such as
-    ``studies.poisson_sweep``; it is read once, in order.
+    ``samples`` is any iterable of batches holding at least two independent
+    samples in all, such as ``studies.poisson_sweep``; it is read once, in
+    order.  Each phi is evaluated once per batch, and a sample's integral is
+    the sum of phi over its unit atoms, added in position order.
     """
-    vals = np.array([[np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
-                      for phi in phis] for mu in samples])
+    vals = [np.empty((0, len(phis)))]
+    for batch in samples:
+        rows = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))
+        vals.append(np.exp(-np.column_stack([
+            np.bincount(rows, phi(batch.positions), minlength=len(batch))
+            for phi in phis])))
+    vals = np.concatenate(vals)
     if len(vals) < 2:
         raise ValueError("need at least two samples")
     means = np.mean(vals, axis=0)

@@ -163,7 +163,9 @@ def test_exit_codes(tmp_path):
             ("study", ["study=moments", "intensity=1e300"]),
             ("study", ["study=moments", "intensity=inf"]),
             ("study", ["study=moments", "window_lo=-inf"]),
-            ("study", ["study=moments", "window_hi=nan"])):
+            ("study", ["study=moments", "window_hi=nan"]),
+            # a finite window whose interval table does not fit int64
+            ("sample", ["measure=none", "window_hi=1e300"])):
         assert run(command, "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, (command, pairs)
     assert run("solve", "--out", str(tmp_path / "x"), "--override",
@@ -172,6 +174,15 @@ def test_exit_codes(tmp_path):
     assert run("sample", "--out", str(tmp_path / "x"), "--override",
                "measure=file", "--override",
                f"atoms_file={tmp_path / 'missing.json'}") == 2
+
+
+@pytest.mark.parametrize("command, pairs", [
+    ("sample", []), ("study", ["study=moments", "n_samples=1000"]),
+    ("study", ["study=laplace", "n_samples=1000"])])
+def test_negative_seed_exits_2(tmp_path, capsys, command, pairs):
+    assert run(command, "--out", str(tmp_path / "x"), "--seed", "-1",
+               *overrides(*pairs)) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_atoms_file_without_atoms_exits_2(tmp_path):

@@ -21,6 +21,14 @@ def atoms(*positions, masses=None, window=(-10.0, 10.0)):
     return AtomicMeasure(window, pos, mas)
 
 
+def masses_table(measures, k_start, k_end):
+    """interval_masses over the measures' atoms, concatenated in order."""
+    return interval_masses(
+        np.concatenate([mu.positions for mu in measures]),
+        np.concatenate([mu.masses for mu in measures]),
+        np.cumsum([0] + [mu.count for mu in measures]), k_start, k_end)
+
+
 # --- interval masses ---
 
 def test_interval_mass_half_open():
@@ -38,7 +46,7 @@ def test_interval_mass_sums_atoms():
         weight_profile(mu).nk_squared(np.array([0, -1])),
         [4.0 + 3.5**2, 4.0 + 3.5**2 - 1.0])
     light = atoms(-0.4, 0.1, 0.3, masses=[0.1, 0.2, 0.3])
-    assert interval_masses([light], 0, 0).tolist() == [[(0.1 + 0.2) + 0.3]]
+    assert masses_table([light], 0, 0).tolist() == [[(0.1 + 0.2) + 0.3]]
     assert weight_profile(light).nk_squared(0) == 4.0 + ((0.1 + 0.2) + 0.3)**2
 
 
@@ -110,14 +118,29 @@ def test_interval_masses_match_per_atom_loop(pairs):
     empty one and itself gives the same row twice."""
     mu = atoms(*[p for p, _ in pairs], masses=[m for _, m in pairs])
     pooled = _pooled(mu)
-    table = interval_masses([mu, atoms(), mu], -9, 9)
+    table = masses_table([mu, atoms(), mu], -9, 9)
     want = [pooled.get(k, 0.0) for k in range(-9, 10)]
     assert table.tolist() == [want, [0.0] * 19, want]
 
 
 def test_interval_masses_reject_atoms_outside_range():
     with pytest.raises(ValueError):
-        interval_masses([atoms(0.0), atoms(3.6)], -3, 3)
+        masses_table([atoms(0.0), atoms(3.6)], -3, 3)
+
+
+@pytest.mark.parametrize("k_start, k_end, rows", [
+    (0, 2**63, 1), (-2**63 - 1, 0, 1), (0, 2**62, 2), (-10**300, 10**300, 1)])
+def test_interval_masses_reject_ranges_beyond_int64(k_start, k_end, rows):
+    """Keys (sample, interval) that do not fit int64 raise ValueError before
+    any table is allocated; empty samples carry no atom to catch it."""
+    with pytest.raises(ValueError, match="int64"):
+        interval_masses(np.empty(0), np.empty(0), np.zeros(rows + 1, int),
+                        k_start, k_end)
+
+
+def test_huge_window_profile_is_a_value_error():
+    with pytest.raises(ValueError, match="int64"):
+        weight_profile(atoms(window=(-1.0, 1e300)))
 
 
 def _direct_nk_squared(mu, ks):
@@ -154,7 +177,7 @@ def test_envelope_equals_direct_formula(lo, width, rows, reach):
                 for row in rows]
     k_start, k_end = int(np.floor(lo)), int(np.ceil(lo + width))
     ks = np.arange(k_start - reach, k_end + reach + 1)
-    got = nk_squared_table(interval_masses(measures, k_start, k_end),
+    got = nk_squared_table(masses_table(measures, k_start, k_end),
                            k_start, ks)
     want = [_direct_nk_squared(mu, ks) for mu in measures]
     assert got.tolist() == [w.tolist() for w in want]

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls.point_process import (AtomicMeasure,
+from sprinkled_nls import rng
+from sprinkled_nls.point_process import (AtomicMeasure, PoissonBatch,
                                          bernoulli_laplace_functional,
                                          empirical_laplace_functional,
                                          fixed_count_laplace_functional,
@@ -185,22 +186,97 @@ def test_empirical_laplace_functional_reproducible():
         empirical_laplace_functional(poisson_sweep((0.0, 2.0), 1.0, 5, 1), phis)
 
 
-def test_poisson_sweep_draws_substream_per_sample():
-    """Sample i is the Poisson measure of substream (seed, i), bit for bit."""
-    window, seed = (-4.0, 6.0), 17
-    swept = list(poisson_sweep(window, 2.0, seed, 5))
-    assert len(swept) == 5
+def test_empirical_laplace_functional_equals_per_sample_sums():
+    """Summing phi per sample over a whole batch gives the per-measure
+    exp(-m . phi(y)) of every sample bit for bit, empty samples (exp(0) = 1)
+    included, also when one ends a batch."""
+    phis = [smoothed_indicator(0.0, 1.0, height=h) for h in (0.5, 2.0)]
+    window, seed, n = (0.2, 0.5), 12, 2 * studies.SWEEP_CHUNK + 5
+    batches = list(poisson_sweep(window, 1.0, seed, n))
+    assert any(b.offsets[-2] == b.offsets[-1] for b in batches)
+    got = empirical_laplace_functional(batches, phis)
+    vals = np.array([[np.exp(-float(np.dot(mu.masses, phi(mu.positions))))
+                      for phi in phis]
+                     for mu in (sample_poisson(window, 1.0,
+                                               substream_seed(seed, i))
+                                for i in range(n))])
+    np.testing.assert_array_equal(got[0], vals.mean(axis=0))
+    np.testing.assert_array_equal(
+        got[1], vals.std(axis=0, ddof=1) / np.sqrt(n))
+
+
+def _assert_same_measure(mu, ref):
+    assert mu.window == ref.window
+    np.testing.assert_array_equal(mu.positions, ref.positions)
+    np.testing.assert_array_equal(mu.masses, ref.masses)
+
+
+def _swept_against_substreams(window, intensity, seed, n):
+    """The sweep's samples, each checked against the one-seed draw of its
+    substream (seed, i), bit for bit."""
+    batches = list(poisson_sweep(window, intensity, seed, n))
+    assert [len(b) for b in batches] == \
+        [studies.SWEEP_CHUNK] * (n // studies.SWEEP_CHUNK) \
+        + [n % studies.SWEEP_CHUNK] * bool(n % studies.SWEEP_CHUNK)
+    swept = [b.measure(j) for b in batches for j in range(len(b))]
     for i, mu in enumerate(swept):
-        ref = sample_poisson(window, 2.0, substream_seed(seed, i))
-        assert mu.window == ref.window
-        np.testing.assert_array_equal(mu.positions, ref.positions)
-        np.testing.assert_array_equal(mu.masses, ref.masses)
+        _assert_same_measure(
+            mu, sample_poisson(window, intensity, substream_seed(seed, i)))
+    return swept
+
+
+def test_poisson_sweep_draws_substream_per_sample():
+    """Sample i is the Poisson measure of substream (seed, i), bit for bit,
+    on both sides of a chunk boundary."""
+    swept = _swept_against_substreams((-4.0, 6.0), 2.0, 17,
+                                      studies.SWEEP_CHUNK + 3)
+    assert all(mu.count for mu in swept)
+
+
+def test_poisson_sweep_tiny_window_mostly_empty():
+    """In a window of mean count 0.05 most samples are empty; the offsets
+    still place each rare atom in its own sample."""
+    swept = _swept_against_substreams((0.0, 0.05), 1.0, 5,
+                                      studies.SWEEP_CHUNK + 3)
+    assert 0 < sum(mu.count > 0 for mu in swept) < len(swept) // 4
+
+
+def test_sample_poisson_list_form_rows_equal_single_calls():
+    """Row j of the list form is the one-seed call on seeds[j], whether the
+    seed is an int or a derived substream seed, and an empty list is an
+    empty batch."""
+    window = (-2.0, 3.0)
+    for seeds in ([5, 0, 2**70 + 1], rng.substream_seeds(8, 510, 515)):
+        batch = sample_poisson(window, 1.5, seeds)
+        assert isinstance(batch, PoissonBatch) and len(batch) == len(seeds)
+        for j, seed in enumerate(seeds):
+            _assert_same_measure(batch.measure(j),
+                                 sample_poisson(window, 1.5, seed))
+    assert len(sample_poisson(window, 1.5, [])) == 0
+    with pytest.raises(ConfigError):
+        sample_poisson((0.0, 1.0), 1e300, [0, 1])
+
+
+def test_poisson_batch_validation():
+    ok = PoissonBatch((0.0, 2.0), [0.5, 1.5, 0.2], [0, 2, 2, 3])
+    assert len(ok) == 3 and ok.measure(1).count == 0
+    np.testing.assert_array_equal(ok.measure(2).positions, [0.2])
+    for positions, offsets in (([0.5, 2.5], [0, 2]),      # outside window
+                               ([np.nan], [0, 1]),        # not finite
+                               ([1.5, 0.5], [0, 2]),      # unsorted sample
+                               ([0.5], [0, 2]),           # offsets past end
+                               ([0.5, 1.0], [0, 2, 1]),   # offsets fall
+                               ([0.5], [1, 1])):          # not from 0
+        with pytest.raises(ValueError):
+            PoissonBatch((0.0, 2.0), positions, offsets)
+    with pytest.raises(ValueError):
+        PoissonBatch((2.0, 0.0), [], [0])
 
 
 def test_poisson_sweep_is_lazy(monkeypatch):
-    """A billion-sample sweep yields its first measure after one draw.  The
-    counting stub stops an eager sweep after a few draws instead of letting
-    it run on."""
+    """A billion-sample sweep draws one chunk per sample_poisson call, and
+    only when its reader asks for that chunk.  The counting stub stops an
+    eager sweep after a few calls instead of letting it run on."""
     drawn = []
 
     def counted(*args):
@@ -209,10 +285,14 @@ def test_poisson_sweep_is_lazy(monkeypatch):
         return sample_poisson(*args)
 
     monkeypatch.setattr(studies, "sample_poisson", counted)
-    first = next(poisson_sweep((0.0, 1.0), 1.0, 3, 10**9))
-    assert len(drawn) == 1
-    ref = sample_poisson((0.0, 1.0), 1.0, substream_seed(3, 0))
-    np.testing.assert_array_equal(first.positions, ref.positions)
+    sweep = poisson_sweep((0.0, 1.0), 1.0, 3, 10**9)
+    first = next(sweep)
+    assert len(drawn) == 1 and len(first) == studies.SWEEP_CHUNK
+    second = next(sweep)
+    assert len(drawn) == 2 and len(second) == studies.SWEEP_CHUNK
+    for batch, i in ((first, 0), (second, studies.SWEEP_CHUNK)):
+        ref = sample_poisson((0.0, 1.0), 1.0, substream_seed(3, i))
+        _assert_same_measure(batch.measure(0), ref)
 
 
 def test_atoms_json_round_trip(tmp_path):

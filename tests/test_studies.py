@@ -200,9 +200,10 @@ def test_moment_pairing_equals_weighted_norm():
 @pytest.mark.parametrize("window", [(-40.0, 40.0), (-5.0, 5.0)],
                          ids=["wider_than_grid", "narrower_than_grid"])
 def test_moment_chunks_equal_per_sample_profiles(window):
-    """1001 samples make 15 full chunks and a ragged one of 41.  Each chunk's
-    table spans the grid and the window, so the study reads exactly the N_k^2
-    of each sample's own profile, paired in the same order and arithmetic."""
+    """1001 samples make a full sweep chunk of 512 and a ragged one of 489.
+    Each chunk's table spans the grid and the window, so the study reads
+    exactly the N_k^2 of each sample's own profile, paired in the same order
+    and arithmetic."""
     f = gaussian_field(Grid(32.0, 4096), sigma=2.0, center=1.5)
     seed, n = 4, 1001
     rep = moment_study({"f": f}, n, seed, window=window)
