@@ -7,9 +7,10 @@ class SprinkledNLSError(Exception):
 
 class ConfigError(SprinkledNLSError, ValueError):
     """Invalid configuration file, key, or value, a smoothing width outside
-    (0, 1], a Poisson window or intensity that is not finite and positive or
-    whose mean atom count is too large to draw, or a study input outside its
-    domain; a ValueError, so callers that catch ValueError see it too."""
+    (0, 1], a window outside -2**52 <= lo < hi <= 2**52, a Poisson
+    intensity that is not finite and positive or whose mean atom count is
+    too large to draw, or a study input outside its domain; a ValueError,
+    so callers that catch ValueError see it too."""
 
 
 class ResolutionError(SprinkledNLSError):

@@ -37,8 +37,10 @@ negative and only ever reaches the final max(0, .) as 0, so every table
 entry equals the direct formula bit for bit.  Past the table's edges every
 occupied interval lies on one side, so the sup there is max(0, g_edge - d)
 at distance d from the edge, exact by the same argument as long as the
-baseline 4 is added after the subtraction; a table over the occupied
-intervals thus gives N_k^2 at any integer k.
+baseline 4 is added after the subtraction.  So ``weight_profile`` keeps
+the envelope over the window's intervals [floor(a), ceil(b)], which the
+window rule of ``point_process`` makes hold every atom, and reads N_k^2 at
+any integer k through this edge rule; only ``profile.csv`` adds a margin.
 """
 from __future__ import annotations
 
@@ -67,32 +69,25 @@ BASELINE_NK_SQUARED = 4.0
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """N_k^2 over a range of integers wide enough to reach the baseline.
-
-    Outside [k_start, k_end] the profile continues exactly as
-    max(4, edge value - distance), because every occupied interval lies inside
-    the covered range and each unit of distance lowers the sup by exactly one.
-    """
+    """The envelope g_k = max(0, max_l mu(I_l)^2 - |k - l|) over the
+    window's intervals k_start ... k_end; N_k^2 = 4 + g_k, read at any
+    integer through the edge rule of the module docstring."""
 
     k_start: int
-    nk_squared_values: np.ndarray
+    envelope: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.nk_squared_values, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "nk_squared_values", v)
+        g = np.asarray(self.envelope, dtype=float).copy()
+        g.setflags(write=False)
+        object.__setattr__(self, "envelope", g)
 
     @property
     def k_end(self) -> int:
-        return self.k_start + len(self.nk_squared_values) - 1
+        return self.k_start + len(self.envelope) - 1
 
     def nk_squared(self, k) -> np.ndarray:
-        """N_k^2 for integer (array) k, using the exact analytic extension."""
-        k = np.asarray(k, dtype=np.int64)
-        clipped = np.clip(k, self.k_start, self.k_end)
-        dist = np.abs(k - clipped)
-        vals = self.nk_squared_values[clipped - self.k_start]
-        return np.maximum(BASELINE_NK_SQUARED, vals - dist)
+        """N_k^2 for integer (array) k."""
+        return _nk_squared_at(self.envelope, self.k_start, k)
 
     def weight(self, x) -> np.ndarray:
         """Piecewise-linear weight w(x) interpolating N_k^2 at the integers."""
@@ -126,12 +121,8 @@ def interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
                        ).reshape(counts.size, width)
 
 
-def nk_squared_table(masses: np.ndarray, k_start: int, ks) -> np.ndarray:
-    """N_k^2 = 4 + max(0, max_l m_l^2 - |k - l|) at the integers ks, one row
-    per row of a (B, K) interval-mass table over [k_start, k_start + K - 1]
-    that holds every occupied interval of its row.  Inside the table the sup
-    is the doubling envelope of the module docstring; past an edge it is the
-    edge value less the distance, which is exact by the same argument."""
+def _envelope(masses: np.ndarray) -> np.ndarray:
+    """max_l (m_l^2 - |k - l|) along each row of a (B, K) mass table."""
     g = masses**2
     top = g.max(initial=0.0)
     s = 1
@@ -142,27 +133,34 @@ def nk_squared_table(masses: np.ndarray, k_start: int, ks) -> np.ndarray:
     while s < g.shape[1] and s <= top:
         np.maximum(g[:, :-s], g[:, s:] - s, out=g[:, :-s])
         s *= 2
+    return g
+
+
+def _nk_squared_at(g: np.ndarray, k_start: int, ks) -> np.ndarray:
+    """N_k^2 at the integers ks from envelope rows g starting at k_start:
+    4 + g_k inside, 4 + max(0, g_edge - d) at distance d past an edge."""
     ks = np.asarray(ks, dtype=np.int64)
-    edge = np.clip(ks, k_start, k_start + g.shape[1] - 1)
+    edge = np.clip(ks, k_start, k_start + g.shape[-1] - 1)
     # take keeps rows contiguous, so a row pairs by the same BLAS sum as a
     # 1-d profile (a [:, idx] gather is column-major)
     return BASELINE_NK_SQUARED + np.maximum(
-        0.0, np.take(g, edge - k_start, axis=1) - np.abs(ks - edge))
+        0.0, np.take(g, edge - k_start, axis=-1) - np.abs(ks - edge))
+
+
+def nk_squared_table(masses: np.ndarray, k_start: int, ks) -> np.ndarray:
+    """N_k^2 = 4 + max(0, max_l m_l^2 - |k - l|) at the integers ks, one row
+    per row of a (B, K) interval-mass table over [k_start, k_start + K - 1]
+    that holds every occupied interval of its row."""
+    return _nk_squared_at(_envelope(masses), k_start, ks)
 
 
 def weight_profile(mu: AtomicMeasure) -> WeightProfile:
-    """Compute N_k^2 over the window plus a margin that provably reaches 4."""
+    """The envelope over the window's intervals [floor(a), ceil(b)]."""
     a, b = mu.window
-    k_start, k_end = int(np.floor(a)), int(np.ceil(b))
-    if mu.count:  # rounding can put an edge atom's interval past the window
-        k_start = min(k_start, int(np.floor(mu.positions[0] + 0.5)))
-        k_end = max(k_end, int(np.floor(mu.positions[-1] + 0.5)))
+    k_start = int(np.floor(a))
     masses = interval_masses(mu.positions, mu.masses, [0, mu.count],
-                             k_start, k_end)
-    margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + masses.max() ** 2)) \
-        if mu.count else 0
-    ks = np.arange(k_start - margin, k_end + margin + 1)
-    return WeightProfile(int(ks[0]), nk_squared_table(masses, k_start, ks)[0])
+                             k_start, int(np.ceil(b)))
+    return WeightProfile(k_start, _envelope(masses)[0])
 
 
 def chi(x, k: int) -> np.ndarray:
@@ -204,5 +202,9 @@ def block_norm(f: WaveField, profile: WeightProfile) -> float:
 # --- serialization ---
 
 def save_profile_csv(p: WeightProfile, path) -> None:
-    write_csv(path, {"k": np.arange(p.k_start, p.k_end + 1),
-                     "nk_squared": p.nk_squared_values})
+    """N_k^2 over the profile's intervals and 2 ceil(4 + max mu(I_l)^2)
+    more on each side (none if empty), so both edge rows read 4."""
+    top = p.envelope.max()
+    margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + top)) if top else 0
+    ks = np.arange(p.k_start - margin, p.k_end + margin + 1)
+    write_csv(path, {"k": ks, "nk_squared": p.nk_squared(ks)})

@@ -40,15 +40,21 @@ __all__ = [
 ]
 
 
+def _checked_window(window) -> tuple[float, float]:
+    """The window as floats if -2^52 <= a < b <= 2^52, else ConfigError:
+    past 2^52 a double cannot tell k - 1/2 from k + 1/2."""
+    a, b = float(window[0]), float(window[1])
+    if not (-2.0**52 <= a < b <= 2.0**52):
+        raise ConfigError(f"window ({a:g}, {b:g}) must satisfy "
+                          "-2**52 <= lo < hi <= 2**52")
+    return a, b
+
+
 def _checked_positions(window, positions) -> tuple[tuple[float, float],
                                                    np.ndarray]:
-    """The window as floats and a private copy of the positions, after
-    checking that the window is finite with a < b and that the positions are
-    a 1-d array inside it (NaN fails every comparison, so a non-finite atom
-    fails too)."""
-    a, b = float(window[0]), float(window[1])
-    if not (-np.inf < a < b < np.inf):
-        raise ValueError("window must be finite with a < b")
+    """The checked window and a private copy of the positions, a 1-d array
+    inside the window (a NaN atom fails the comparison)."""
+    a, b = _checked_window(window)
     pos = np.array(positions, dtype=float)
     if pos.ndim != 1:
         raise ValueError("atom positions must be a 1-d array")
@@ -196,9 +202,9 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
     AtomicMeasure; a list of seeds gives a PoissonBatch whose sample j is,
     bit for bit, the one-seed call on ``seed[j]``.
     """
-    a, b = float(window[0]), float(window[1])
-    if not (-np.inf < a < b < np.inf and 0 < intensity < np.inf):
-        raise ConfigError("need a finite window a < b and a finite intensity > 0")
+    a, b = _checked_window(window)
+    if not 0 < intensity < np.inf:
+        raise ConfigError("need a finite intensity > 0")
     if isinstance(seed, list):
         draws = [_poisson_positions(a, b, intensity, s) for s in seed]
         return PoissonBatch((a, b), np.concatenate([np.empty(0), *draws]),
@@ -219,9 +225,9 @@ def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
                              prob: float, seed: int) -> AtomicMeasure:
     """Unit masses at lattice sites k*spacing inside the closed window, each
     kept independently with probability prob."""
-    a, b = float(window[0]), float(window[1])
-    if not (a < b) or spacing <= 0 or not (0 < prob <= 1):
-        raise ValueError("need a < b, spacing > 0, 0 < prob <= 1")
+    a, b = _checked_window(window)
+    if spacing <= 0 or not (0 < prob <= 1):
+        raise ValueError("need spacing > 0 and 0 < prob <= 1")
     sites = _lattice_sites(a, b, spacing)
     if prob < 1:
         gen = _rng.generator(seed)
@@ -239,9 +245,9 @@ def sample_fixed_count(window: tuple[float, float], n: int,
                        seed: int) -> AtomicMeasure:
     """Exactly n i.i.d. uniform unit-mass atoms in the window; n = 0 gives
     the empty measure."""
-    a, b = float(window[0]), float(window[1])
-    if not (a < b) or n < 0:
-        raise ValueError("need a < b and n >= 0")
+    a, b = _checked_window(window)
+    if n < 0:
+        raise ValueError("need n >= 0")
     gen = _rng.generator(seed)
     positions = np.sort(gen.uniform(a, b, size=n))
     return AtomicMeasure((a, b), positions, np.ones(n))
@@ -286,9 +292,9 @@ def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
 def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float],
                                    n: int) -> float:
     """Closed form (1 + (1/|window|) * integral (e^-phi - 1) dx)^n."""
-    a, b = float(window[0]), float(window[1])
-    if not (a < b) or n < 1:
-        raise ValueError("need a < b and n >= 1")
+    a, b = _checked_window(window)
+    if n < 1:
+        raise ValueError("need n >= 1")
     lo, hi = phi.support
     if lo < a or hi > b:
         raise ValueError("test-function support must lie inside the window")

@@ -17,14 +17,11 @@ the second level out as seed objects that ``generator`` accepts.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["generator", "substream_seed", "substream_seeds"]
 
@@ -99,26 +96,18 @@ def _substream_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     return _seed_hash(words, 4)
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """The type of a derived seed, PCG64's four seed words precomputed.  It
-    is made on first use: subclassing numpy's seed interface imports
-    numpy.random, which importing the package otherwise leaves to the first
-    draw."""
-    from numpy.random.bit_generator import ISeedSequence
+class _SeedWords(ISeedSequence):
+    """A derived seed: PCG64's four seed words, precomputed."""
 
-    class SeedWords(ISeedSequence):
-        __slots__ = ("_state",)
+    __slots__ = ("_state",)
 
-        def __init__(self, state: np.ndarray):
-            self._state = state
+    def __init__(self, state: np.ndarray):
+        self._state = state
 
-        def generate_state(self, n_words, dtype=np.uint64):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a derived seed holds only PCG64's four words")
-            return self._state.copy()
-
-    return SeedWords
+    def generate_state(self, n_words, dtype=np.uint64):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a derived seed holds only PCG64's four words")
+        return self._state.copy()
 
 
 def substream_seeds(master_seed: int, start: int, stop: int
@@ -132,7 +121,7 @@ def substream_seeds(master_seed: int, start: int, stop: int
     state = _seed_hash(_substream_words(master_seed, start, stop),
                        8).astype(np.uint64)
     pcg_words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-    return list(map(_seed_words_type(), pcg_words))
+    return list(map(_SeedWords, pcg_words))
 
 
 def substream_seed(master_seed: int, index: int) -> int:

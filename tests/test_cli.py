@@ -45,8 +45,8 @@ def test_resolve_config_rejects_bad_input(tmp_path):
         resolve_config(None, ["no_such_key=1"], None, None)
     with pytest.raises(ConfigError):
         resolve_config(None, ["dt=fast"], None, None)
-    with pytest.raises(ConfigError):
-        resolve_config(None, ["window_lo=5", "window_hi=-5"], None, None)
+    assert run("sample", "--out", str(tmp_path / "x"),
+               *overrides("window_lo=5", "window_hi=-5")) == 2
     with pytest.raises(ConfigError):
         resolve_config(None, ["variant=bogus"], None, None)
     bad =tmp_path / "bad.cfg"
@@ -174,6 +174,36 @@ def test_exit_codes(tmp_path):
     assert run("sample", "--out", str(tmp_path / "x"), "--override",
                "measure=file", "--override",
                f"atoms_file={tmp_path / 'missing.json'}") == 2
+
+
+@pytest.mark.parametrize("command, pairs", [
+    ("sample", ["measure=bernoulli", "window_lo=-inf"]),
+    ("sample", ["measure=canonical", "window_hi=inf"]),
+    ("sample", ["measure=kronig_penney", "window_hi=inf"]),
+    ("solve", ["measure=none", "window_hi=1e300"]),
+    ("study", ["study=eps", "measure=none", "window_hi=1e300"]),
+    ("study", ["study=stability", "measure=none", "window_hi=1e300"]),
+    ("study", ["study=moments", "window_hi=1e300", "intensity=1e-300"])])
+def test_window_outside_rule_exits_2(tmp_path, capsys, command, pairs):
+    """Every measure and every sampler checks the window before any work,
+    whatever the measure kind or command."""
+    assert run(command, "--out", str(tmp_path / "x"), *overrides(*pairs)) == 2
+    assert "2**52" in capsys.readouterr().err
+
+
+def test_heavy_atom_solve_exits_0(tmp_path):
+    """An atom of mass 1e5 raises N_k^2 to about 1e10 but adds no table
+    rows: the profile spans the window's intervals only."""
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"window": [-32, 32], "atoms": [[0.3, 1e5]]}))
+    out = tmp_path / "x"
+    assert run("solve", "--out", str(out), *overrides(
+        "measure=file", f"atoms_file={atoms}", "t_final=0.01")) == 0
+    with open(out / "diagnostics.csv") as fh:
+        header = fh.readline().strip().split(",")
+    l2mu = np.loadtxt(out / "diagnostics.csv", delimiter=",",
+                      skiprows=1)[:, header.index("l2mu")]
+    assert np.isfinite(l2mu).all() and (l2mu > 0).all()
 
 
 @pytest.mark.parametrize("command, pairs", [

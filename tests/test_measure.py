@@ -139,7 +139,7 @@ def test_interval_masses_reject_ranges_beyond_int64(k_start, k_end, rows):
 
 
 def test_huge_window_profile_is_a_value_error():
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="2\\*\\*52"):
         weight_profile(atoms(window=(-1.0, 1e300)))
 
 
@@ -153,6 +153,19 @@ def _direct_nk_squared(mu, ks):
     lmass = np.array([pooled[k] for k in sorted(pooled)])
     contrib = lmass[None, :] ** 2 - np.abs(ks[:, None] - ls[None, :])
     return 4.0 + np.maximum(0.0, contrib.max(axis=1))
+
+
+@pytest.mark.parametrize("window, positions", [
+    ((2.0**52 - 6.0, 2.0**52), [2.0**52 - 6.0, 2.0**52 - 0.5, 2.0**52]),
+    ((-2.0**52, -2.0**52 + 5.5), [-2.0**52, -2.0**52 + 0.5, -2.0**52 + 5.5])])
+def test_profile_on_windows_touching_the_reach(window, positions):
+    """Atoms on the edges of a window that touches +-2^52 fall in its own
+    intervals [floor(a), ceil(b)], so the profile needs no widening and
+    equals the direct formula, past its edges too."""
+    mu = atoms(*positions, masses=[3.0, 1.5, 2.0], window=window)
+    ks = np.arange(int(window[0]) - 20, int(window[1]) + 21)
+    assert weight_profile(mu).nk_squared(ks).tolist() == \
+        _direct_nk_squared(mu, ks).tolist()
 
 
 envelope_masses = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 10.0),
@@ -316,5 +329,8 @@ def test_profile_csv(tmp_path, unit_atom):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,nk_squared"
     ks, vals = zip(*(ln.split(",") for ln in lines[1:]))
-    assert int(ks[0]) == p.k_start
-    assert float(vals[p.k_start * -1]) == 5.0  # row for k = 0
+    margin = 2 * 5  # 2 ceil(4 + m^2) rows of baseline past each edge
+    assert int(ks[0]) == p.k_start - margin
+    assert int(ks[-1]) == p.k_end + margin
+    assert float(vals[-int(ks[0])]) == 5.0  # row for k = 0
+    assert float(vals[0]) == float(vals[-1]) == 4.0

@@ -42,6 +42,33 @@ def test_atomic_measure_validation():
             AtomicMeasure(window, np.array(positions), np.array(masses))
 
 
+# every entry point that takes a window, called on window w
+WINDOW_ENTRY_POINTS = {
+    "AtomicMeasure": lambda w: AtomicMeasure(w, np.empty(0), np.empty(0)),
+    "PoissonBatch": lambda w: PoissonBatch(w, [], [0]),
+    "sample_poisson": lambda w: sample_poisson(w, 1.0, 0),
+    "sample_bernoulli_crystal": lambda w: sample_bernoulli_crystal(w, 1.0,
+                                                                   0.5, 0),
+    "sample_fixed_count": lambda w: sample_fixed_count(w, 3, 0),
+    "sample_comb": sample_comb,
+    "fixed_count_laplace_functional": lambda w: fixed_count_laplace_functional(
+        smoothed_indicator(0.0, 1.0), w, 1),
+}
+
+
+@pytest.mark.parametrize("window", [
+    (-np.inf, 2.0), (-1.0, np.inf), (np.nan, 2.0), (-1.0, np.nan),
+    (2.0, -1.0), (1.0, 1.0), (-1.0, 1e300), (-1e300, 2.0),
+    (-1.0, 2.0**52 + 2.0**30), (-2.0**52 - 2.0**30, 2.0)])
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+def test_window_rule_everywhere(entry, window):
+    """One rule, -2^52 <= lo < hi <= 2^52, raised as ConfigError by every
+    entry point that takes a window; (-1, 2) itself passes everywhere."""
+    WINDOW_ENTRY_POINTS[entry]((-1.0, 2.0))
+    with pytest.raises(ConfigError, match="2\\*\\*52"):
+        WINDOW_ENTRY_POINTS[entry](window)
+
+
 def test_atomic_measure_sorts_atoms():
     mu = AtomicMeasure((-2.0, 2.0), np.array([1.0, -1.0, 0.0]),
                        np.array([1.0, 2.0, 3.0]))
