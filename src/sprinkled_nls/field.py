@@ -55,6 +55,12 @@ class Grid:
             raise ValueError("half_length must be positive and finite")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two, at least 4")
+        # the free step and the Sobolev norms use xi^2; a finite square also
+        # keeps dx large enough that an atom's grid index stays finite
+        top = np.pi * (self.n // 2) / self.half_length
+        if not top * top < np.inf:
+            raise ValueError("the top frequency pi (n/2) / half_length must "
+                             "have a finite square")
 
     @property
     def dx(self) -> float:

@@ -41,6 +41,8 @@ baseline 4 is added after the subtraction.  So ``weight_profile`` keeps
 the envelope over the window's intervals [floor(a), ceil(b)], which the
 window rule of ``point_process`` makes hold every atom, and reads N_k^2 at
 any integer k through this edge rule; only ``profile.csv`` adds a margin.
+A ``PoissonBatch`` gets one envelope row per sample over the same intervals,
+each row equal bit for bit to its sample's own profile.
 """
 from __future__ import annotations
 
@@ -51,13 +53,11 @@ import numpy as np
 from .bump import raw_bump
 from .field import WaveField, hat_moments
 from .payload import write_csv
-from .point_process import AtomicMeasure
+from .point_process import AtomicMeasure, PoissonBatch
 
 __all__ = [
     "WeightProfile",
     "weight_profile",
-    "interval_masses",
-    "nk_squared_table",
     "chi",
     "weighted_l2_norm",
     "block_norm",
@@ -70,8 +70,9 @@ BASELINE_NK_SQUARED = 4.0
 @dataclass(frozen=True)
 class WeightProfile:
     """The envelope g_k = max(0, max_l mu(I_l)^2 - |k - l|) over the
-    window's intervals k_start ... k_end; N_k^2 = 4 + g_k, read at any
-    integer through the edge rule of the module docstring."""
+    window's intervals k_start ... k_end, one row per sample of a batch;
+    N_k^2 = 4 + g_k, read at any integer through the edge rule of the module
+    docstring."""
 
     k_start: int
     envelope: np.ndarray
@@ -83,11 +84,18 @@ class WeightProfile:
 
     @property
     def k_end(self) -> int:
-        return self.k_start + len(self.envelope) - 1
+        return self.k_start + self.envelope.shape[-1] - 1
 
     def nk_squared(self, k) -> np.ndarray:
-        """N_k^2 for integer (array) k."""
-        return _nk_squared_at(self.envelope, self.k_start, k)
+        """N_k^2 for integer (array) k: 4 + g_k inside, 4 + max(0, g_edge -
+        d) at distance d past an edge; a batch gives one row per sample."""
+        ks = np.asarray(k, dtype=np.int64)
+        edge = np.clip(ks, self.k_start, self.k_end)
+        # take keeps rows contiguous, so a row pairs by the same BLAS sum as a
+        # 1-d profile (a [:, idx] gather is column-major)
+        return BASELINE_NK_SQUARED + np.maximum(
+            0.0, np.take(self.envelope, edge - self.k_start, axis=-1)
+            - np.abs(ks - edge))
 
     def weight(self, x) -> np.ndarray:
         """Piecewise-linear weight w(x) interpolating N_k^2 at the integers."""
@@ -99,8 +107,8 @@ class WeightProfile:
         return left + frac * (right - left)
 
 
-def interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
-                    k_start: int, k_end: int) -> np.ndarray:
+def _interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
+                     k_start: int, k_end: int) -> np.ndarray:
     """(B, K) table of mu_b(I_k) for k in [k_start, k_end], one row per
     sample of concatenated atoms (sample b is ``offsets[b]:offsets[b + 1]``;
     one measure is ``offsets = [0, count]``), binned by one bincount over
@@ -136,31 +144,16 @@ def _envelope(masses: np.ndarray) -> np.ndarray:
     return g
 
 
-def _nk_squared_at(g: np.ndarray, k_start: int, ks) -> np.ndarray:
-    """N_k^2 at the integers ks from envelope rows g starting at k_start:
-    4 + g_k inside, 4 + max(0, g_edge - d) at distance d past an edge."""
-    ks = np.asarray(ks, dtype=np.int64)
-    edge = np.clip(ks, k_start, k_start + g.shape[-1] - 1)
-    # take keeps rows contiguous, so a row pairs by the same BLAS sum as a
-    # 1-d profile (a [:, idx] gather is column-major)
-    return BASELINE_NK_SQUARED + np.maximum(
-        0.0, np.take(g, edge - k_start, axis=-1) - np.abs(ks - edge))
-
-
-def nk_squared_table(masses: np.ndarray, k_start: int, ks) -> np.ndarray:
-    """N_k^2 = 4 + max(0, max_l m_l^2 - |k - l|) at the integers ks, one row
-    per row of a (B, K) interval-mass table over [k_start, k_start + K - 1]
-    that holds every occupied interval of its row."""
-    return _nk_squared_at(_envelope(masses), k_start, ks)
-
-
-def weight_profile(mu: AtomicMeasure) -> WeightProfile:
-    """The envelope over the window's intervals [floor(a), ceil(b)]."""
+def weight_profile(mu: AtomicMeasure | PoissonBatch) -> WeightProfile:
+    """The envelope over the window's intervals [floor(a), ceil(b)]: one row
+    for a measure, one per sample (unit masses) for a batch."""
+    batch = isinstance(mu, PoissonBatch)
     a, b = mu.window
     k_start = int(np.floor(a))
-    masses = interval_masses(mu.positions, mu.masses, [0, mu.count],
-                             k_start, int(np.ceil(b)))
-    return WeightProfile(k_start, _envelope(masses)[0])
+    g = _envelope(_interval_masses(
+        mu.positions, np.ones(mu.positions.size) if batch else mu.masses,
+        mu.offsets if batch else [0, mu.count], k_start, int(np.ceil(b))))
+    return WeightProfile(k_start, g if batch else g[0])
 
 
 def chi(x, k: int) -> np.ndarray:

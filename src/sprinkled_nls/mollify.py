@@ -66,9 +66,10 @@ def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensi
 
 def truncated_potential(mu: AtomicMeasure, grid: Grid, eps: float,
                         variant: str) -> GriddedDensity:
-    """Potential for the regularized flow; non-negative by construction."""
+    """Potential for the regularized flow; non-negative by construction.  An
+    unknown variant raises ConfigError."""
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ConfigError(f"variant must be one of {VARIANTS}")
     dens = mollified_density(mu, grid, eps)
     if variant == "mollified_only":
         return dens

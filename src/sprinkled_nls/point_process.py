@@ -215,7 +215,12 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
 
 def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
     """The lattice sites k*spacing in [a, b]; a site within 1e-12 lattice
-    steps of an edge counts as on it, so rounding never drops an edge site."""
+    steps of an edge counts as on it, so rounding never drops an edge site.
+    The spacing must be positive and finite and the site indices a / spacing
+    and b / spacing must fit int64, else ValueError."""
+    if not (0 < spacing < np.inf and max(-a, b) / spacing < 2.0**63):
+        raise ValueError(f"lattice spacing {spacing:g} must be positive and "
+                         "finite, with window / spacing inside int64")
     k_lo = int(np.ceil(a / spacing - 1e-12))
     k_hi = int(np.floor(b / spacing + 1e-12))
     return spacing * np.arange(k_lo, k_hi + 1)
@@ -226,8 +231,8 @@ def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
     """Unit masses at lattice sites k*spacing inside the closed window, each
     kept independently with probability prob."""
     a, b = _checked_window(window)
-    if spacing <= 0 or not (0 < prob <= 1):
-        raise ValueError("need spacing > 0 and 0 < prob <= 1")
+    if not 0 < prob <= 1:
+        raise ValueError("need 0 < prob <= 1")
     sites = _lattice_sites(a, b, spacing)
     if prob < 1:
         gen = _rng.generator(seed)
@@ -282,8 +287,8 @@ def poisson_laplace_functional(phi: TestFunction,
 def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
                                  prob: float) -> float:
     """Closed form: product over lattice sites of 1 + prob*(e^-phi(site) - 1)."""
-    if spacing <= 0 or not (0 < prob <= 1):
-        raise ValueError("need spacing > 0 and 0 < prob <= 1")
+    if not 0 < prob <= 1:
+        raise ValueError("need 0 < prob <= 1")
     sites = _lattice_sites(*phi.support, spacing)
     factors = 1.0 + prob * (np.exp(-phi(sites)) - 1.0)
     return float(np.prod(factors))

@@ -66,8 +66,10 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
             raise ValueError("dt must lie in (0, 0.1]")
-        if not (self.dt <= self.t_final < np.inf):
-            raise ValueError("t_final must be finite and at least dt")
+        # a finite step count t_final / dt also makes t_final finite
+        if not (self.dt <= self.t_final and self.t_final / self.dt < np.inf):
+            raise ValueError("t_final must be at least dt, with t_final / dt "
+                             "finite")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))

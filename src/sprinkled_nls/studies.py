@@ -18,9 +18,8 @@ from .constants import CALIBRATION
 from .errors import ConfigError
 from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
                     random_field, sobolev_norm)
-from .measure import (interval_masses, nk_squared_table, weight_profile,
-                      weighted_l2_norm)
-from .mollify import VARIANTS, check_resolution, truncated_potential
+from .measure import weight_profile, weighted_l2_norm
+from .mollify import check_resolution, truncated_potential
 from .payload import write_csv, write_json
 from .point_process import (AtomicMeasure, PoissonBatch,
                             bernoulli_laplace_functional,
@@ -126,8 +125,6 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     record_every; params.dt is the step used at the coarsest width.  t_final
     must be a multiple of that record interval.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}")
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 3:
         raise ConfigError("eps ladder needs at least three values")
@@ -286,9 +283,9 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     E X <= c ||f||_{L^2}^2 and E X^2 <= c_2 ||f||_{L^2}^4.
 
     The samples come in the sweep's chunks: each chunk's N_k^2 at the
-    grid's integers comes from one ``nk_squared_table`` over the window's
-    intervals, built from the batch's atoms, so every draw and every value
-    is that of ``weight_profile`` on the same sample.
+    grid's integers comes from one ``weight_profile(batch)``, whose rows are
+    bit for bit the profiles of the chunk's samples, so every draw and every
+    value is that of ``weight_profile`` on the same sample.
 
     ``profiles`` maps names to fields; None gives three built-in Gaussians on
     the default grid.
@@ -316,12 +313,7 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
     wsq = np.zeros((n_samples, len(names)))
     i = 0
     for batch in poisson_sweep(window, intensity, seed, n_samples):
-        # the table spans the window's intervals, which hold every atom
-        a, b = batch.window
-        k_lo = int(np.floor(a))
-        masses = interval_masses(batch.positions, np.ones(batch.positions.size),
-                                 batch.offsets, k_lo, int(np.ceil(b)))
-        nk2 = nk_squared_table(masses, k_lo, ks)
+        nk2 = weight_profile(batch).nk_squared(ks)
         n0sq[i:i + len(batch)] = nk2[:, origin]
         for row in nk2:
             wsq[i] = moments @ row

@@ -165,7 +165,13 @@ def test_exit_codes(tmp_path):
             ("study", ["study=moments", "window_lo=-inf"]),
             ("study", ["study=moments", "window_hi=nan"]),
             # a finite window whose interval table does not fit int64
-            ("sample", ["measure=none", "window_hi=1e300"])):
+            ("sample", ["measure=none", "window_hi=1e300"]),
+            # a step count, top grid frequency or lattice index past the
+            # largest double
+            ("solve", ["dt=1e-320"]),
+            ("solve", ["half_length=1e-320"]),
+            ("solve", ["half_length=1e-304"]),
+            ("sample", ["measure=bernoulli", "spacing=1e-310"])):
         assert run(command, "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, (command, pairs)
     assert run("solve", "--out", str(tmp_path / "x"), "--override",

@@ -31,7 +31,8 @@ def test_grid_rejects_non_power_of_two(n):
 
 
 def test_grid_rejects_bad_length():
-    for half_length in (0.0, float("nan"), float("inf")):
+    # the last two leave pi (n/2) / L, or its square, past the largest double
+    for half_length in (0.0, float("nan"), float("inf"), 1e-320, 1e-200):
         with pytest.raises(ValueError):
             Grid(half_length, 512)
 

@@ -6,10 +6,11 @@ from scipy.integrate import quad
 from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.field import Grid, evaluate_at, l2_norm, random_field
-from sprinkled_nls.measure import (block_norm, chi, interval_masses,
-                                   nk_squared_table, save_profile_csv,
-                                   weight_profile, weighted_l2_norm)
-from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
+from sprinkled_nls.measure import (_interval_masses, block_norm, chi,
+                                   save_profile_csv, weight_profile,
+                                   weighted_l2_norm)
+from sprinkled_nls.point_process import (AtomicMeasure, PoissonBatch,
+                                         sample_poisson)
 
 # frozen quad of exp(-2x^2) * max(4, 5-|x|); the single-atom weight is exact
 GAUSS_UNIT_ATOM_WSQ = 5.777212204202916
@@ -22,8 +23,8 @@ def atoms(*positions, masses=None, window=(-10.0, 10.0)):
 
 
 def masses_table(measures, k_start, k_end):
-    """interval_masses over the measures' atoms, concatenated in order."""
-    return interval_masses(
+    """_interval_masses over the measures' atoms, concatenated in order."""
+    return _interval_masses(
         np.concatenate([mu.positions for mu in measures]),
         np.concatenate([mu.masses for mu in measures]),
         np.cumsum([0] + [mu.count for mu in measures]), k_start, k_end)
@@ -134,8 +135,8 @@ def test_interval_masses_reject_ranges_beyond_int64(k_start, k_end, rows):
     """Keys (sample, interval) that do not fit int64 raise ValueError before
     any table is allocated; empty samples carry no atom to catch it."""
     with pytest.raises(ValueError, match="int64"):
-        interval_masses(np.empty(0), np.empty(0), np.zeros(rows + 1, int),
-                        k_start, k_end)
+        _interval_masses(np.empty(0), np.empty(0), np.zeros(rows + 1, int),
+                         k_start, k_end)
 
 
 def test_huge_window_profile_is_a_value_error():
@@ -180,22 +181,46 @@ envelope_atoms = st.lists(
 @given(st.floats(-40.0, 40.0), st.floats(0.5, 30.0),
        st.lists(envelope_atoms, min_size=1, max_size=3), st.integers(0, 80))
 def test_envelope_equals_direct_formula(lo, width, rows, reach):
-    """A table over the window's intervals gives, row by row, the direct
-    formula bit for bit at every integer up to ``reach`` past its edges:
-    the doubling envelope inside, its continuation outside.  So does
-    weight_profile, its one-row case."""
+    """weight_profile gives the direct formula bit for bit at every integer
+    up to ``reach`` past the window's intervals: the doubling envelope
+    inside, its continuation outside.  Per measure with any masses, and per
+    row of a PoissonBatch of the same positions with unit masses."""
     window = (lo, lo + width)
     measures = [atoms(*[lo + u * width for u, _ in row],
                       masses=[m for _, m in row], window=window)
                 for row in rows]
     k_start, k_end = int(np.floor(lo)), int(np.ceil(lo + width))
     ks = np.arange(k_start - reach, k_end + reach + 1)
-    got = nk_squared_table(masses_table(measures, k_start, k_end),
-                           k_start, ks)
-    want = [_direct_nk_squared(mu, ks) for mu in measures]
-    assert got.tolist() == [w.tolist() for w in want]
-    for mu, w in zip(measures, want):
-        assert weight_profile(mu).nk_squared(ks).tolist() == w.tolist()
+    for mu in measures:
+        assert weight_profile(mu).nk_squared(ks).tolist() == \
+            _direct_nk_squared(mu, ks).tolist()
+    batch = PoissonBatch(window, np.concatenate(
+        [np.empty(0)] + [mu.positions for mu in measures]),
+        np.cumsum([0] + [mu.count for mu in measures]))
+    assert weight_profile(batch).nk_squared(ks).tolist() == [
+        _direct_nk_squared(atoms(*mu.positions, window=window), ks).tolist()
+        for mu in measures]
+
+
+@pytest.mark.parametrize("window", [
+    (-32.0, 32.0), (-40.5, 5.5), (0.25, 0.75), (2.0**52 - 40.0, 2.0**52)])
+def test_batch_profile_rows_equal_sample_profiles(window):
+    """Each row of a batch's profile is its sample's own profile bit for
+    bit, at and past the window's intervals, empty samples included."""
+    drawn = sample_poisson(window, 1.0, rng.substream_seeds(11, 0, 20))
+    o = drawn.offsets
+    # empty samples first, after the fourth and last
+    batch = PoissonBatch(window, drawn.positions,
+                         np.concatenate([[0], o[:5], o[4:], o[-1:]]))
+    assert np.diff(batch.offsets)[[0, 5, -1]].tolist() == [0, 0, 0]
+    assert drawn.positions.size > 0
+    k_start, k_end = int(np.floor(window[0])), int(np.ceil(window[1]))
+    ks = np.arange(k_start - 12, k_end + 13)
+    got = weight_profile(batch).nk_squared(ks)
+    assert got.shape == (len(batch), ks.size)
+    for j, row in enumerate(got):
+        assert row.tolist() == \
+            weight_profile(batch.measure(j)).nk_squared(ks).tolist()
 
 
 @given(finite_atoms)

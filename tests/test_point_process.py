@@ -115,6 +115,18 @@ def test_bernoulli_crystal_full_probability_is_comb():
     np.testing.assert_allclose(mu.positions, 0.5 * np.arange(-8, 9))
 
 
+@pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e-310, 1e-300])
+def test_lattice_spacing_rule(spacing):
+    """Both lattice users reject a spacing that is not positive and finite,
+    or whose site indices do not fit int64, with one ValueError."""
+    with pytest.raises(ValueError, match="spacing"):
+        sample_bernoulli_crystal((-32.0, 32.0), spacing, 0.5, seed=0)
+    with pytest.raises(ValueError, match="spacing"):
+        bernoulli_laplace_functional(smoothed_indicator(0.0, 1.0), spacing,
+                                     0.5)
+
+
 def test_bernoulli_crystal_thins():
     mu = sample_bernoulli_crystal((-50.0, 50.0), 1.0, 0.25, seed=3)
     assert 0 < mu.count < 101

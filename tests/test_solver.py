@@ -29,6 +29,8 @@ def test_solver_params_validation():
         SolverParams(dt=0.0, t_final=1.0)
     with pytest.raises(ValueError):
         SolverParams(dt=1e-2, t_final=1e-3)
+    with pytest.raises(ValueError):  # t_final / dt overflows to inf
+        SolverParams(dt=1e-320, t_final=1.0)
     for t_final in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolverParams(dt=1e-2, t_final=t_final)

@@ -11,6 +11,7 @@ from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import substream_seed
 from sprinkled_nls.solver import SolverParams
+from sprinkled_nls import studies
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
                                    laplace_study, moment_study,
                                    save_report_csv, save_report_json,
@@ -62,9 +63,13 @@ def test_eps_ladder_validation(grid):
         eps_convergence_study(psi0, mu, (0.4, 0.2), params)
     with pytest.raises(ValueError):
         eps_convergence_study(psi0, mu, (0.4, 0.3, 0.15), params)
-    with pytest.raises(ValueError):
-        eps_convergence_study(psi0, mu, (0.4, 0.2, 0.1), params,
+    # the variant rule is truncated_potential's, met after the width checks,
+    # so the ladder is one this grid resolves
+    with pytest.raises(ConfigError, match="variant"):
+        eps_convergence_study(psi0, mu, (1.0, 0.5, 0.25), params,
                               variant="nope")
+    with pytest.raises(ConfigError, match="variant"):
+        stability_study(psi0, mu, 0.2, (1e-2,), params, 0, variant="nope")
     # every solve width is checked before the first solve
     with pytest.raises(ConfigError):
         eps_convergence_study(psi0, mu, (0.8, 0.4, float("nan")), params)
@@ -200,10 +205,10 @@ def test_moment_pairing_equals_weighted_norm():
 @pytest.mark.parametrize("window", [(-40.0, 40.0), (-5.0, 5.0)],
                          ids=["wider_than_grid", "narrower_than_grid"])
 def test_moment_chunks_equal_per_sample_profiles(window):
-    """1001 samples make a full sweep chunk of 512 and a ragged one of 489.
-    Each chunk's table spans the grid and the window, so the study reads
-    exactly the N_k^2 of each sample's own profile, paired in the same order
-    and arithmetic."""
+    """1001 samples make fifteen full sweep chunks of 64 and a ragged one of
+    41.  Each chunk's table spans the window and is read at the grid's
+    integers through the edge rule, so the study reads exactly the N_k^2 of
+    each sample's own profile, paired in the same order and arithmetic."""
     f = gaussian_field(Grid(32.0, 4096), sigma=2.0, center=1.5)
     seed, n = 4, 1001
     rep = moment_study({"f": f}, n, seed, window=window)
@@ -217,6 +222,23 @@ def test_moment_chunks_equal_per_sample_profiles(window):
     assert rep.rates["n0_squared_full"] == float(np.mean(n0sq))
     assert rep.columns["mean_weighted_squared"] == \
         np.mean(wsq, axis=0).tolist()
+
+
+def test_moment_study_builds_one_profile_per_chunk(monkeypatch):
+    """The moment study builds its weights through studies.weight_profile,
+    one call per sweep chunk, so a tracer that wraps that name sees every
+    table the study builds."""
+    calls = []
+
+    def counted(batch):
+        calls.append(len(batch))
+        return weight_profile(batch)
+
+    monkeypatch.setattr(studies, "weight_profile", counted)
+    f = gaussian_field(Grid(16.0, 512))
+    moment_study({"f": f}, 1000, 2, window=(-16.0, 16.0))
+    full, rest = divmod(1000, studies.SWEEP_CHUNK)
+    assert calls == [studies.SWEEP_CHUNK] * full + [rest] * (rest > 0)
 
 
 def test_laplace_study_smoke():
