@@ -132,9 +132,10 @@ def measure_tail_growth() -> float:
     for traj in runs:
         h1_max = float(np.max(traj.diagnostics["h1"]))
         for lam in (0.25, 0.5, 1.0):
-            tails = tail_norms(traj.states, lam)
+            tails = tail_norms(traj.grid, traj.states, lam)
             growth = float(np.max(tails**2) - tails[0] ** 2)
-            best = max(best, growth / (lam * traj.times[-1] * h1_max**2))
+            best = max(best, growth / (lam * traj.diagnostics["t"][-1]
+                                        * h1_max**2))
     return best
 
 

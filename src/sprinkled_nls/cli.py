@@ -260,7 +260,8 @@ def cmd_solve(cfg: dict) -> int:
         outputs += [snap_dir / p for p in save_snapshots(traj, snap_dir)]
     _write_manifest(out, "solve", cfg, outputs)
     drift = abs(traj.diagnostics["mass"][-1] - traj.diagnostics["mass"][0])
-    print(f"solved to t = {traj.times[-1]:g} ({traj.params.n_steps} steps), "
+    print(f"solved to t = {traj.diagnostics['t'][-1]:g} "
+          f"({traj.params.n_steps} steps), "
           f"mass drift {drift:.3e} -> {out / 'diagnostics.csv'}")
     return 0
 

@@ -8,14 +8,16 @@ potential V is
 with the kinetic part evaluated spectrally.  For an atomic measure the
 quartic interaction is the exact sum over atoms sum_j m_j |psi(y_j)|^4 with
 trigonometric interpolation at the atom positions, which is what the
-mollified integrals converge to as the width shrinks.
+mollified integrals converge to as the width shrinks.  Only atoms in the
+closed domain [-L, L] count, as in the mollified potential: the interpolant
+is periodic, so an atom outside would read its periodic image's value.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .bump import cutoff
-from .field import GriddedDensity, WaveField, evaluate_at, l2_norm
+from .field import Grid, GriddedDensity, WaveField, evaluate_at, l2_norm
 from .point_process import AtomicMeasure
 
 __all__ = [
@@ -34,7 +36,7 @@ def mass(f: WaveField) -> float:
 
 def kinetic_energy(f: WaveField) -> float:
     """(1/2) int |psi_x|^2 dx, evaluated spectrally."""
-    fhat = np.fft.fft(f.values)
+    fhat = f.spectrum
     return float(0.5 * np.sum(f.grid.xi**2 * (fhat.real**2 + fhat.imag**2))
                  * f.grid.dx / f.grid.n)
 
@@ -48,21 +50,23 @@ def energy(f: WaveField, potential: GriddedDensity) -> float:
 
 
 def quartic_measure_integral(f: WaveField, mu: AtomicMeasure) -> float:
-    """int |f|^4 dmu as the exact atom sum."""
-    if not mu.count:
+    """int |f|^4 dmu as the exact sum over the atoms in [-L, L]."""
+    half_length = f.grid.half_length
+    inside = (-half_length <= mu.positions) & (mu.positions <= half_length)
+    if not inside.any():
         return 0.0
-    vals = evaluate_at(f, mu.positions)
-    return float(np.dot(mu.masses, np.abs(vals) ** 4))
+    vals = evaluate_at(f, mu.positions[inside])
+    return float(np.dot(mu.masses[inside], np.abs(vals) ** 4))
 
 
-def tail_norms(states, lam: float) -> np.ndarray:
-    """L^2 norm of (1 - plateau at scale lam) * psi for each state.
+def tail_norms(grid: Grid, states, lam: float) -> np.ndarray:
+    """L^2 norm of (1 - plateau at scale lam) * psi for each row psi of an
+    (R, N) array of states on the grid.
 
     The mask vanishes for |x| <= 1/lam and equals 1 for |x| >= 2/lam, so the
     value measures mass that has escaped past radius 1/lam.
     """
     if not (0.0 < lam):
         raise ValueError("lam must be positive")
-    masked = (WaveField(s.grid, s.values * (1.0 - cutoff(s.grid.x, lam)))
-              for s in states)
-    return np.array([l2_norm(f) for f in masked])
+    mask = 1.0 - cutoff(grid.x, lam)
+    return np.array([l2_norm(WaveField(grid, row * mask)) for row in states])

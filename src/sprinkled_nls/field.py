@@ -6,6 +6,10 @@ use the periodic trapezoid rule dx * sum, which is exact for band-limited
 integrands.  The Parseval-normalized spectral form of the Sobolev norm is
 
     ||f||_{H^s}^2 = (dx/N) * sum_m (1 + xi_m^2)^s |fhat_m|^2 .
+
+A field is transformed once: every spectral operation here and in
+``diagnostics`` reads ``WaveField.spectrum``, its forward FFT, computed on
+first use and kept read-only.
 """
 from __future__ import annotations
 
@@ -89,6 +93,11 @@ class WaveField:
             raise ValueError("values shape does not match grid")
         object.__setattr__(self, "values", _readonly(v.copy()))
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """np.fft.fft(values), computed once and read-only."""
+        return _readonly(np.fft.fft(self.values))
+
 
 @dataclass(frozen=True)
 class GriddedDensity:
@@ -144,7 +153,7 @@ def sobolev_norm(f: WaveField, s: float) -> float:
     """Spectral H^s norm for s in [-2, 2]; s = 0 agrees with l2_norm."""
     if not (-2.0 <= s <= 2.0):
         raise ValueError("s must lie in [-2, 2]")
-    fhat = np.fft.fft(f.values)
+    fhat = f.spectrum
     weight = (1.0 + f.grid.xi**2) ** s
     return float(np.sqrt(np.sum(weight * (fhat.real**2 + fhat.imag**2))
                          * f.grid.dx / f.grid.n))
@@ -155,14 +164,14 @@ def lp_project(f: WaveField, n_cut: float) -> WaveField:
     plateau at xi/n_cut (pass-band |xi| <= n_cut, gone beyond 2*n_cut)."""
     if n_cut < 1:
         raise ValueError("n_cut must be at least 1")
-    fhat = np.fft.fft(f.values)
-    return WaveField(f.grid, np.fft.ifft(fhat * plateau_cutoff(f.grid.xi / n_cut)))
+    return WaveField(f.grid, np.fft.ifft(f.spectrum
+                                         * plateau_cutoff(f.grid.xi / n_cut)))
 
 
 def free_propagator(f: WaveField, t: float) -> WaveField:
     """Exact free evolution: spectral multiplication by exp(-i t xi^2)."""
-    fhat = np.fft.fft(f.values)
-    return WaveField(f.grid, np.fft.ifft(fhat * np.exp(-1j * t * f.grid.xi**2)))
+    return WaveField(f.grid, np.fft.ifft(f.spectrum
+                                         * np.exp(-1j * t * f.grid.xi**2)))
 
 
 def _trig_sum(coeffs: np.ndarray, first: int, half_length: float,
@@ -201,7 +210,7 @@ def evaluate_at(f: WaveField, points) -> np.ndarray:
     Returns a 1-d complex array, one value per point.
     """
     n = f.grid.n
-    return _trig_sum(np.fft.fftshift(np.fft.fft(f.values)) / n, -(n // 2),
+    return _trig_sum(np.fft.fftshift(f.spectrum) / n, -(n // 2),
                      f.grid.half_length, points)
 
 
@@ -220,7 +229,7 @@ def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
     one-sided G terms where it is clipped; exact for any L, integer or not.
     """
     n, half_length = f.grid.n, f.grid.half_length
-    fhat = np.fft.fft(f.values)
+    fhat = f.spectrum
     pad = np.zeros(2 * n, dtype=np.complex128)
     pad[: n // 2] = fhat[: n // 2]
     pad[-(n // 2):] = fhat[n // 2:]

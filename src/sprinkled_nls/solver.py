@@ -23,6 +23,13 @@ first: the complex product is not symmetric in its operands under FMA, and
 the expression psi * phase lets numpy swap them once the phase temporary
 reaches 256 KiB.  With the order fixed, every row of a stack equals the same
 start run alone bit for bit.
+
+Records land in one (B, R, N) array, allocated before the first step and
+read-only after the last; ``Trajectory.states`` is a run's (R, N) block.
+The diagnostics run one record at a time on a short-lived ``WaveField`` of
+its row, whose cached spectrum serves all of that record's spectral
+diagnostics; a whole block at once would hold (R, N) temporaries per
+diagnostic, which costs more memory than it saves time.
 """
 from __future__ import annotations
 
@@ -34,7 +41,8 @@ import numpy as np
 
 from .diagnostics import energy, mass, quartic_measure_integral
 from .errors import BlowUpError, OracleInstabilityError
-from .field import GriddedDensity, WaveField, save_field_bin, sobolev_norm, sup_norm
+from .field import (Grid, GriddedDensity, WaveField, save_field_bin,
+                    sobolev_norm, sup_norm)
 from .measure import WeightProfile, weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv
@@ -52,6 +60,9 @@ __all__ = [
 ]
 
 DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
+# ceiling on the step count of one run: over 100x the largest run in use (the
+# default eps study's finest width steps 64,000 times)
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -66,10 +77,11 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
             raise ValueError("dt must lie in (0, 0.1]")
-        # a finite step count t_final / dt also makes t_final finite
-        if not (self.dt <= self.t_final and self.t_final / self.dt < np.inf):
-            raise ValueError("t_final must be at least dt, with t_final / dt "
-                             "finite")
+        # a bounded step count t_final / dt also makes t_final finite
+        if not (self.dt <= self.t_final
+                and self.t_final / self.dt < MAX_STEPS + 0.5):
+            raise ValueError(f"t_final must be at least dt, with at most "
+                             f"{MAX_STEPS} steps t_final / dt")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
@@ -81,23 +93,27 @@ class SolverParams:
 
 @dataclass
 class Trajectory:
-    """Recorded states and per-record diagnostics of one run."""
+    """Recorded states and per-record diagnostics of one run: ``states`` is
+    a read-only (R, N) array, one row per record, and ``diagnostics["t"]``
+    holds the record times."""
 
     params: SolverParams
-    times: np.ndarray
-    states: list[WaveField]
+    grid: Grid
+    states: np.ndarray
     diagnostics: dict[str, np.ndarray]
 
 
-def _trajectory(params: SolverParams, times: list[float],
-                states: list[WaveField], potential: GriddedDensity,
-                mu: AtomicMeasure, profile: WeightProfile) -> Trajectory:
-    """The recorded states with their diagnostics, one row per state."""
+def _trajectory(params: SolverParams, times: list[float], states: np.ndarray,
+                potential: GriddedDensity, mu: AtomicMeasure,
+                profile: WeightProfile) -> Trajectory:
+    """The recorded states with their diagnostics, one record at a time."""
+    grid = potential.grid
+    fields = (WaveField(grid, row) for row in states)
     rows = [(t, mass(s), energy(s, potential), sobolev_norm(s, 1.0),
              weighted_l2_norm(s, profile), sup_norm(s),
              quartic_measure_integral(s, mu) if params.record_quartic else np.nan)
-            for t, s in zip(times, states)]
-    return Trajectory(params, np.asarray(times), states,
+            for t, s in zip(times, fields)]
+    return Trajectory(params, grid, states,
                       {c: np.asarray(col)
                        for c, col in zip(DIAGNOSTIC_COLUMNS, zip(*rows))})
 
@@ -123,10 +139,13 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
 
+    n_steps, every = params.n_steps, params.record_every
+    record_steps = [*range(0, n_steps, every), n_steps]
+    records = np.empty((len(starts), len(record_steps), grid.n),
+                       dtype=np.complex128)
     v = np.array([psi0.values for psi0 in starts])
-    times = [0.0]
-    states = [[WaveField(grid, row)] for row in v]
-    n_steps = params.n_steps
+    records[:, 0] = v
+    r = 1
     for step in range(1, n_steps + 1):
         np.fft.fft(v, axis=1, out=v)
         v *= half
@@ -139,13 +158,14 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
         np.fft.ifft(v, axis=1, out=v)
         if not np.isfinite(v).all():
             raise BlowUpError(step, step * dt)
-        if step % params.record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            for row_states, row in zip(states, v):
-                row_states.append(WaveField(grid, row))
+        if step == record_steps[r]:
+            records[:, r] = v
+            r += 1
+    records.setflags(write=False)
+    times = [step * dt for step in record_steps]
     profile = weight_profile(measure)
-    return [_trajectory(params, times, row_states, potential, measure, profile)
-            for row_states in states]
+    return [_trajectory(params, times, states, potential, measure, profile)
+            for states in records]
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
@@ -210,8 +230,8 @@ def save_snapshots(traj: Trajectory, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []
-    for i, state in enumerate(traj.states):
+    for i, row in enumerate(traj.states):
         name = f"state_{i:06d}.bin"
-        save_field_bin(state, out / name)
+        save_field_bin(WaveField(traj.grid, row), out / name)
         names.append(name)
     return names

@@ -156,12 +156,9 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     d_h1, d_l2mu, d_sum = [], [], []
     for eps in ladder:
         coarse, fine = runs[eps], runs[eps / 2]
-        h1s, l2s = [], []
-        for a, b in zip(coarse.states, fine.states):
-            diff = WaveField(psi0.grid, a.values - b.values)
-            h1s.append(sobolev_norm(diff, 1.0))
-            l2s.append(weighted_l2_norm(diff, profile))
-        h1s, l2s = np.asarray(h1s), np.asarray(l2s)
+        diffs = (WaveField(psi0.grid, d) for d in coarse.states - fine.states)
+        h1s, l2s = np.array([(sobolev_norm(d, 1.0),
+                              weighted_l2_norm(d, profile)) for d in diffs]).T
         d_h1.append(float(np.max(h1s)))
         d_l2mu.append(float(np.max(l2s)))
         d_sum.append(float(np.max(h1s + l2s)))
@@ -224,15 +221,14 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
                        potential, params, measure=mu)
     fwd, bwd = runs[: len(starts)], runs[len(starts):]
 
-    t_final = float(fwd[0].times[-1])
+    t_final = float(fwd[0].diagnostics["t"][-1])
     r_vals, k_vals, env_vals, exact = [], [], [], []
     for idx, delta in enumerate(deltas, start=1):
         sup_diff = 0.0
         k = 0.0
         for base, traj in ((fwd[0], fwd[idx]), (bwd[0], bwd[idx])):
-            diffs = [sobolev_norm(WaveField(psi0.grid, a.values - b.values),
-                                  -1.0)
-                     for a, b in zip(base.states, traj.states)]
+            diffs = [sobolev_norm(WaveField(psi0.grid, d), -1.0)
+                     for d in base.states - traj.states]
             sup_diff = max(sup_diff, float(np.max(diffs)))
             k = max(k, float(np.max(
                 base.diagnostics["h1"] * base.diagnostics["l2mu"]

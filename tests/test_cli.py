@@ -169,6 +169,8 @@ def test_exit_codes(tmp_path):
             # a step count, top grid frequency or lattice index past the
             # largest double
             ("solve", ["dt=1e-320"]),
+            # a finite step count past the solver's ceiling
+            ("solve", ["dt=1e-300"]),
             ("solve", ["half_length=1e-320"]),
             ("solve", ["half_length=1e-304"]),
             ("sample", ["measure=bernoulli", "spacing=1e-310"])):

@@ -4,8 +4,8 @@ import pytest
 from sprinkled_nls.diagnostics import (energy, kinetic_energy, mass,
                                        quartic_measure_integral, tail_norms)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
-                                 free_propagator, gaussian_field)
-from sprinkled_nls.mollify import truncated_potential
+                                 evaluate_at, free_propagator, gaussian_field)
+from sprinkled_nls.mollify import mollified_density, truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_comb
 
 # frozen: int exp(-2x^2) = sqrt(pi/2), (1/2) int |d/dx exp(-x^2)|^2 = sqrt(pi/8)
@@ -55,6 +55,29 @@ def test_quartic_nonnegative_and_vanishes_off_atoms(fine_grid):
     assert quartic_measure_integral(shifted, comb) > 1.0
 
 
+def test_quartic_counts_only_atoms_in_the_domain():
+    """The interpolant is periodic, so an atom past the domain would read the
+    value at its periodic image (-8.7 reads 7.3 on [-8, 8)); like the
+    mollified density, the atom sum gives such an atom nothing.  Atoms on
+    either closed end, -L and L, still count."""
+    grid = Grid(8.0, 1024)
+    f = gaussian_field(grid, center=7.0)
+    image = AtomicMeasure((-9.0, 9.0), np.array([7.3]), np.array([1.0]))
+    assert quartic_measure_integral(f, image) > 0.5
+    outside = AtomicMeasure((-9.0, 9.0), np.array([-8.7]), np.array([1.0]))
+    assert np.sum(mollified_density(outside, grid, 0.05).values) == 0.0
+    assert quartic_measure_integral(f, outside) == 0.0
+    mixed = AtomicMeasure((-9.0, 9.0), np.array([-8.7, 7.3]),
+                          np.array([1.0, 1.0]))
+    assert quartic_measure_integral(f, mixed) == quartic_measure_integral(
+        f, image)
+    ends = AtomicMeasure((-9.0, 9.0), np.array([-8.0, 8.0]),
+                         np.array([1.0, 2.0]))
+    expect = 3.0 * abs(evaluate_at(f, [8.0])[0]) ** 4
+    assert quartic_measure_integral(f, ends) == pytest.approx(expect,
+                                                              rel=1e-12)
+
+
 def test_energy_gap_shrinks_with_mollification_width(gauss, fine_grid):
     """energy(f, V_eps) converges monotonically to the atomic energy, whose
     interaction is taken against the measure itself."""
@@ -70,19 +93,19 @@ def test_energy_gap_shrinks_with_mollification_width(gauss, fine_grid):
 
 def test_tail_norms_initially_negligible():
     grid = Grid(32.0, 2048)
-    tails = tail_norms([gaussian_field(grid)], 1.0 / 16.0)
+    tails = tail_norms(grid, [gaussian_field(grid).values], 1.0 / 16.0)
     assert tails[0] < 1e-10
 
 
 def test_tail_norms_validation():
     grid = Grid(32.0, 2048)
     with pytest.raises(ValueError):
-        tail_norms([gaussian_field(grid)], 0.0)
+        tail_norms(grid, [gaussian_field(grid).values], 0.0)
 
 
 def test_tail_norms_capture_dispersed_mass():
     grid = Grid(32.0, 2048)
     out = free_propagator(gaussian_field(grid), 4.0)
     lam = 0.5  # mask turns on beyond |x| = 2
-    assert tail_norms([out], lam)[0] > 10.0 * tail_norms(
-        [gaussian_field(grid)], lam)[0]
+    assert tail_norms(grid, [out.values], lam)[0] > 10.0 * tail_norms(
+        grid, [gaussian_field(grid).values], lam)[0]

@@ -50,6 +50,14 @@ def test_wavefield_values_are_readonly():
         f.values[0] = 1.0
 
 
+def test_spectrum_is_the_readonly_fft_of_the_values(grid):
+    f = random_field(grid, rng.generator(3))
+    np.testing.assert_array_equal(f.spectrum, np.fft.fft(f.values))
+    assert f.spectrum is f.spectrum
+    with pytest.raises(ValueError):
+        f.spectrum[0] = 1.0
+
+
 def test_density_rejects_negative_and_nonfinite():
     g = Grid(16.0, 512)
     with pytest.raises(ValueError):

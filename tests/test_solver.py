@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from sprinkled_nls import rng
+from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
 from sprinkled_nls.errors import BlowUpError, OracleInstabilityError
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
                                  free_propagator, gaussian_field, l2_norm,
-                                 load_field_bin, random_field)
+                                 load_field_bin, random_field, sobolev_norm,
+                                 sup_norm)
+from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
-from sprinkled_nls.solver import (SolverParams, evolve, evolve_many,
+from sprinkled_nls.solver import (MAX_STEPS, SolverParams, evolve, evolve_many,
                                   evolve_regularized, oracle_evolve,
                                   save_snapshots, save_trajectory_csv)
 
@@ -31,6 +34,11 @@ def test_solver_params_validation():
         SolverParams(dt=1e-2, t_final=1e-3)
     with pytest.raises(ValueError):  # t_final / dt overflows to inf
         SolverParams(dt=1e-320, t_final=1.0)
+    # a finite step count past the ceiling is refused before any stepping
+    assert SolverParams(dt=1.0 / MAX_STEPS, t_final=1.0).n_steps == MAX_STEPS
+    for dt in (1.0 / (MAX_STEPS + 1), 1e-300):
+        with pytest.raises(ValueError, match="at most"):
+            SolverParams(dt=dt, t_final=1.0)
     for t_final in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolverParams(dt=1e-2, t_final=t_final)
@@ -46,7 +54,7 @@ def test_zero_potential_matches_free_propagator(grid):
     params = SolverParams(dt=1e-2, t_final=0.1, record_every=10)
     traj = evolve(psi0, zero_potential(grid), params, measure=no_atoms(grid))
     exact = free_propagator(psi0, 0.1)
-    err = l2_norm(WaveField(grid, traj.states[-1].values - exact.values))
+    err = l2_norm(WaveField(grid, traj.states[-1] - exact.values))
     assert err < 1e-13
 
 
@@ -65,8 +73,8 @@ def test_time_reversal_via_conjugation(grid):
     params = SolverParams(dt=1e-3, t_final=0.05, record_every=50)
     fwd = evolve_regularized(gaussian_field(grid), mu, 0.2, params)
     back = evolve_regularized(
-        WaveField(grid, np.conj(fwd.states[-1].values)), mu, 0.2, params)
-    err = l2_norm(WaveField(grid, np.conj(back.states[-1].values)
+        WaveField(grid, np.conj(fwd.states[-1])), mu, 0.2, params)
+    err = l2_norm(WaveField(grid, np.conj(back.states[-1])
                             - gaussian_field(grid).values))
     assert err < 1e-11
 
@@ -80,7 +88,7 @@ def test_splitting_is_second_order(grid):
         params = SolverParams(dt=dt, t_final=t_final, record_every=1000)
         traj = evolve_regularized(gaussian_field(grid), mu, 0.4, params,
                                   "mollified_only")
-        finals.append(traj.states[-1].values)
+        finals.append(traj.states[-1])
     e1 = l2_norm(WaveField(grid, finals[0] - finals[1]))
     e2 = l2_norm(WaveField(grid, finals[1] - finals[2]))
     order = np.log2(e1 / e2)
@@ -92,11 +100,60 @@ def test_record_schedule(grid):
     traj = evolve(gaussian_field(grid), zero_potential(grid), params,
                   measure=no_atoms(grid))
     # records at steps 0, 3, 6, 9 and the final step 10
-    np.testing.assert_allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1],
+    np.testing.assert_allclose(traj.diagnostics["t"],
+                               [0.0, 0.03, 0.06, 0.09, 0.1],
                                rtol=0, atol=1e-15)
-    assert len(traj.states) == len(traj.times)
+    assert traj.states.shape == (5, grid.n)
     for c in ("mass", "energy", "h1", "l2mu", "sup", "quartic"):
-        assert len(traj.diagnostics[c]) == len(traj.times)
+        assert len(traj.diagnostics[c]) == 5
+
+
+@pytest.mark.parametrize("n_steps, every, record_steps", [
+    (10, 3, [0, 3, 6, 9, 10]),  # n_steps % record_every != 0
+    (9, 3, [0, 3, 6, 9]),       # n_steps % record_every == 0
+    (4, 1, [0, 1, 2, 3, 4]),
+    (4, 20, [0, 4])])
+def test_record_array_rows(grid, n_steps, every, record_steps):
+    """The (R, N) record block holds exactly the recorded steps: each row is
+    bit for bit the state of a run that records every step, so no row is
+    left unwritten, and the last row is the final step."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    psi0 = gaussian_field(grid)
+    traj = evolve(psi0, pot, SolverParams(dt=1e-2, t_final=n_steps * 1e-2,
+                                          record_every=every), measure=mu)
+    every_step = evolve(psi0, pot, SolverParams(dt=1e-2,
+                                                t_final=n_steps * 1e-2,
+                                                record_every=1), measure=mu)
+    assert traj.states.shape == (len(record_steps), grid.n)
+    assert not traj.states.flags.writeable
+    assert traj.grid == grid
+    np.testing.assert_array_equal(traj.states, every_step.states[record_steps])
+    np.testing.assert_array_equal(traj.states[-1], every_step.states[-1])
+    np.testing.assert_array_equal(traj.diagnostics["t"],
+                                  [k * 1e-2 for k in record_steps])
+
+
+def test_diagnostic_columns_equal_per_field_functions(grid):
+    """Each column is the per-field function on WaveField(grid, row)."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([-2.0, 0.5, 3.0]),
+                       np.array([1.0, 2.0, 1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    traj = evolve(gaussian_field(grid), pot,
+                  SolverParams(dt=1e-3, t_final=0.02, record_every=5),
+                  measure=mu)
+    fields = [WaveField(grid, row) for row in traj.states]
+    profile = weight_profile(mu)
+    expect = {
+        "mass": [mass(f) for f in fields],
+        "energy": [energy(f, pot) for f in fields],
+        "h1": [sobolev_norm(f, 1.0) for f in fields],
+        "l2mu": [weighted_l2_norm(f, profile) for f in fields],
+        "sup": [sup_norm(f) for f in fields],
+        "quartic": [quartic_measure_integral(f, mu) for f in fields],
+    }
+    for column, values in expect.items():
+        np.testing.assert_array_equal(traj.diagnostics[column], values)
 
 
 def test_quartic_recording_toggle(grid):
@@ -135,10 +192,7 @@ def test_stack_rows_equal_single_runs_bit_for_bit():
     assert len(stacked) == len(starts)
     for psi0, row in zip(starts, stacked):
         alone = evolve(psi0, pot, params, measure=mu)
-        np.testing.assert_array_equal(row.times, alone.times)
-        assert len(row.states) == len(alone.states)
-        for a, b in zip(row.states, alone.states):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(row.states, alone.states)
         assert row.diagnostics.keys() == alone.diagnostics.keys()
         for key, values in alone.diagnostics.items():
             np.testing.assert_array_equal(row.diagnostics[key], values)
@@ -176,7 +230,7 @@ def test_oracle_agrees_with_split_solver():
     params = SolverParams(dt=2e-5, t_final=0.05, record_every=2500)
     split = evolve(psi0, pot, params, measure=mu)
     ref = oracle_evolve(psi0, pot, 0.05, dt=grid.dx**2 / 64.0)
-    err = l2_norm(WaveField(grid, split.states[-1].values - ref.values))
+    err = l2_norm(WaveField(grid, split.states[-1] - ref.values))
     assert err < 1e-6
 
 
@@ -197,7 +251,7 @@ def test_trajectory_csv_layout(tmp_path, grid):
     save_trajectory_csv(traj, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,mass,energy,h1,l2mu,sup,quartic"
-    assert len(lines) == len(traj.times) + 1
+    assert len(lines) == len(traj.diagnostics["t"]) + 1
 
 
 def test_snapshots_round_trip(tmp_path, grid):
@@ -207,4 +261,4 @@ def test_snapshots_round_trip(tmp_path, grid):
     names = save_snapshots(traj, tmp_path / "snaps")
     assert names == [f"state_{i:06d}.bin" for i in range(len(traj.states))]
     mid = load_field_bin(tmp_path / "snaps" / names[1])
-    np.testing.assert_array_equal(mid.values, traj.states[1].values)
+    np.testing.assert_array_equal(mid.values, traj.states[1])
