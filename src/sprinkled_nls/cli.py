@@ -14,9 +14,11 @@ of anything it builds from the config (grid, measure, initial field, step
 parameters, input files), and the library raises it for a smoothing width
 outside (0, 1], for a window outside -2**52 <= window_lo < window_hi <=
 2**52 (checked only where a command reads the window), for a Poisson
-intensity it cannot draw from, and for study inputs.  Any other exception
-is a bug and propagates.  An empty ``variant`` or a zero ``n_samples`` is
-not passed on, so the called function's own default applies.
+intensity that is not finite and positive, for a size past its ceiling
+(``errors.checked_size``, before anything is allocated or stepped), and for
+study inputs.  Any other exception is a bug and propagates.  An empty
+``variant`` or a zero ``n_samples`` is not passed on, so the called
+function's own default applies.
 """
 from __future__ import annotations
 

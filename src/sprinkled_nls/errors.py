@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size rule.
+
+Every array a config sizes (grid points, lattice sites, interval-table
+cells, drawn atoms, samples, held records) and the step count of a run pass
+``checked_size`` against a ceiling stated here, before anything is
+allocated or stepped."""
+
+# ceiling on the step count of one run: over 100x the largest run in use (the
+# default eps study's finest width steps 64,000 times)
+MAX_STEPS = 10**7
+# ceiling on the entries of any one array a config sizes: 1 GiB of float64;
+# the largest array in use, the default stability study's 8 x 101 x 4096
+# records, is 40x below it
+MAX_ENTRIES = 2**27
 
 
 class SprinkledNLSError(Exception):
@@ -8,9 +21,20 @@ class SprinkledNLSError(Exception):
 class ConfigError(SprinkledNLSError, ValueError):
     """Invalid configuration file, key, or value, a smoothing width outside
     (0, 1], a window outside -2**52 <= lo < hi <= 2**52, a Poisson
-    intensity that is not finite and positive or whose mean atom count is
-    too large to draw, or a study input outside its domain; a ValueError,
+    intensity that is not finite and positive, a size past its ceiling
+    (``checked_size``), or a study input outside its domain; a ValueError,
     so callers that catch ValueError see it too."""
+
+
+def checked_size(what: str, n, ceiling: int) -> int:
+    """int(n) for a size 0 <= n <= ceiling; any other n, NaN and inf
+    included, raises ConfigError naming the size, its value and the
+    ceiling."""
+    if not 0 <= n <= ceiling:  # NaN fails both comparisons
+        shown = n if isinstance(n, int) else f"{float(n):.6g}"
+        raise ConfigError(f"{what} is {shown}, outside the size ceiling "
+                          f"[0, {ceiling}]")
+    return int(n)
 
 
 class ResolutionError(SprinkledNLSError):

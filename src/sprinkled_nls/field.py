@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .bump import plateau_cutoff
+from .errors import MAX_ENTRIES, checked_size
 
 __all__ = [
     "Grid",
@@ -59,6 +60,7 @@ class Grid:
             raise ValueError("half_length must be positive and finite")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two, at least 4")
+        checked_size("grid points n", self.n, MAX_ENTRIES)
         # the free step and the Sobolev norms use xi^2; a finite square also
         # keeps dx large enough that an atom's grid index stays finite
         top = np.pi * (self.n // 2) / self.half_length

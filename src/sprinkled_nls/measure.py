@@ -40,7 +40,9 @@ at distance d from the edge, exact by the same argument as long as the
 baseline 4 is added after the subtraction.  So ``weight_profile`` keeps
 the envelope over the window's intervals [floor(a), ceil(b)], which the
 window rule of ``point_process`` makes hold every atom, and reads N_k^2 at
-any integer k through this edge rule; only ``profile.csv`` adds a margin.
+any integer k through this edge rule; ``profile.csv`` holds the same rows.
+The table's cells (samples x intervals) pass the size rule of ``errors``
+before it is built.
 A ``PoissonBatch`` gets one envelope row per sample over the same intervals,
 each row equal bit for bit to its sample's own profile.
 """
@@ -51,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bump import raw_bump
+from .errors import MAX_ENTRIES, checked_size
 from .field import WaveField, hat_moments
 from .payload import write_csv
 from .point_process import AtomicMeasure, PoissonBatch
@@ -113,13 +116,12 @@ def _interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
     sample of concatenated atoms (sample b is ``offsets[b]:offsets[b + 1]``;
     one measure is ``offsets = [0, count]``), binned by one bincount over
     (sample, interval) keys; each interval's atoms are added in position
-    order.  A range whose keys do not fit int64 raises ValueError before
-    anything is allocated, as does an atom outside the range."""
+    order.  A table past the size ceiling raises ConfigError before
+    anything is allocated; an atom outside the range raises ValueError."""
     counts = np.diff(offsets)
     width = k_end - k_start + 1
-    if not (-2**63 <= k_start and k_end < 2**63
-            and counts.size * width < 2**63):
-        raise ValueError("the window's interval table does not fit int64")
+    checked_size("interval table cells (samples x unit intervals)",
+                 counts.size * width, MAX_ENTRIES)
     keys = np.floor(positions + 0.5).astype(np.int64)
     keys -= k_start
     if keys.size and not (0 <= keys.min() and keys.max() < width):
@@ -195,9 +197,7 @@ def block_norm(f: WaveField, profile: WeightProfile) -> float:
 # --- serialization ---
 
 def save_profile_csv(p: WeightProfile, path) -> None:
-    """N_k^2 over the profile's intervals and 2 ceil(4 + max mu(I_l)^2)
-    more on each side (none if empty), so both edge rows read 4."""
-    top = p.envelope.max()
-    margin = 2 * int(np.ceil(BASELINE_NK_SQUARED + top)) if top else 0
-    ks = np.arange(p.k_start - margin, p.k_end + margin + 1)
+    """N_k^2 over the profile's intervals k_start ... k_end; past them it
+    follows the edge rule."""
+    ks = np.arange(p.k_start, p.k_end + 1)
     write_csv(path, {"k": ks, "nk_squared": p.nk_squared(ks)})

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError
+from .errors import MAX_ENTRIES, ConfigError, checked_size
 from .payload import write_csv, write_json
 
 __all__ = [
@@ -182,11 +182,7 @@ def _poisson_positions(a: float, b: float, intensity: float,
     """One sample's sorted positions: the count, then the uniforms, from the
     seed's own generator."""
     gen = _rng.generator(seed)
-    try:
-        count = int(gen.poisson(intensity * (b - a)))
-    except ValueError as exc:  # numpy refuses a mean near 2^63 or above
-        raise ConfigError(f"mean atom count {intensity * (b - a):g} is too "
-                          "large to draw") from exc
+    count = gen.poisson(intensity * (b - a))
     positions = gen.uniform(a, b, size=count)
     positions.sort()
     return positions
@@ -196,7 +192,8 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
                    ) -> AtomicMeasure | PoissonBatch:
     """Homogeneous Poisson process: count ~ Poisson(intensity * |window|),
     positions i.i.d. uniform, unit masses.  A bad window or intensity, or a
-    mean count too large for numpy to draw, raises ConfigError.
+    mean atom count of the call past the size ceiling, raises ConfigError
+    before any draw.
 
     One seed (an int or a seed of ``rng.substream_seeds``) gives an
     AtomicMeasure; a list of seeds gives a PoissonBatch whose sample j is,
@@ -205,6 +202,9 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
     a, b = _checked_window(window)
     if not 0 < intensity < np.inf:
         raise ConfigError("need a finite intensity > 0")
+    checked_size("mean atom count (intensity x window length x samples)",
+                 intensity * (b - a) * (len(seed) if isinstance(seed, list)
+                                        else 1), MAX_ENTRIES)
     if isinstance(seed, list):
         draws = [_poisson_positions(a, b, intensity, s) for s in seed]
         return PoissonBatch((a, b), np.concatenate([np.empty(0), *draws]),
@@ -216,14 +216,15 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
 def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
     """The lattice sites k*spacing in [a, b]; a site within 1e-12 lattice
     steps of an edge counts as on it, so rounding never drops an edge site.
-    The spacing must be positive and finite and the site indices a / spacing
-    and b / spacing must fit int64, else ValueError."""
-    if not (0 < spacing < np.inf and max(-a, b) / spacing < 2.0**63):
+    A spacing that is not positive and finite raises ValueError, a site
+    count past the size ceiling ConfigError."""
+    if not 0 < spacing < np.inf:
         raise ValueError(f"lattice spacing {spacing:g} must be positive and "
-                         "finite, with window / spacing inside int64")
-    k_lo = int(np.ceil(a / spacing - 1e-12))
-    k_hi = int(np.floor(b / spacing + 1e-12))
-    return spacing * np.arange(k_lo, k_hi + 1)
+                         "finite")
+    k_lo = np.ceil(a / spacing - 1e-12)
+    n = checked_size(f"lattice sites at spacing {spacing:g}",
+                     np.floor(b / spacing + 1e-12) - k_lo + 1, MAX_ENTRIES)
+    return spacing * (k_lo + np.arange(n))
 
 
 def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
@@ -251,8 +252,7 @@ def sample_fixed_count(window: tuple[float, float], n: int,
     """Exactly n i.i.d. uniform unit-mass atoms in the window; n = 0 gives
     the empty measure."""
     a, b = _checked_window(window)
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = checked_size("atom count n", n, MAX_ENTRIES)
     gen = _rng.generator(seed)
     positions = np.sort(gen.uniform(a, b, size=n))
     return AtomicMeasure((a, b), positions, np.ones(n))

@@ -40,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import energy, mass, quartic_measure_integral
-from .errors import BlowUpError, OracleInstabilityError
+from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError,
+                     OracleInstabilityError, checked_size)
 from .field import (Grid, GriddedDensity, WaveField, save_field_bin,
                     sobolev_norm, sup_norm)
 from .measure import WeightProfile, weight_profile, weighted_l2_norm
@@ -60,9 +61,6 @@ __all__ = [
 ]
 
 DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
-# ceiling on the step count of one run: over 100x the largest run in use (the
-# default eps study's finest width steps 64,000 times)
-MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,11 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
             raise ValueError("dt must lie in (0, 0.1]")
-        # a bounded step count t_final / dt also makes t_final finite
-        if not (self.dt <= self.t_final
-                and self.t_final / self.dt < MAX_STEPS + 0.5):
-            raise ValueError(f"t_final must be at least dt, with at most "
-                             f"{MAX_STEPS} steps t_final / dt")
+        if not self.dt <= self.t_final:
+            raise ValueError("t_final must be at least dt")
+        # a bounded step count also makes t_final finite
+        checked_size("step count t_final / dt",
+                     np.rint(self.t_final / self.dt), MAX_STEPS)
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
@@ -124,10 +122,12 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     """Strang-split evolution of a stack of initial states, one trajectory
     per start, with per-record diagnostics.
 
-    Records land at step 0, every record_every steps, and the final step.
-    The weighted norm (and, when record_quartic is on, the quartic measure
-    integral) is recorded against the measure; an empty measure gives the
-    baseline weight 4.  A non-finite value in any row stops the whole stack.
+    Records land at step 0, every record_every steps, and the final step;
+    the record array and the weight profile pass the size rule before the
+    first step.  The weighted norm (and, when record_quartic is on, the
+    quartic measure integral) is recorded against the measure; an empty
+    measure gives the baseline weight 4.  A non-finite value in any row
+    stops the whole stack.
     """
     if not starts:
         raise ValueError("evolve_many needs at least one initial state")
@@ -140,6 +140,10 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     kick = -2j * dt * potential.values[support]
 
     n_steps, every = params.n_steps, params.record_every
+    checked_size("record entries (starts x records x grid points)",
+                 len(starts) * (-(-n_steps // every) + 1) * grid.n,
+                 MAX_ENTRIES)
+    profile = weight_profile(measure)
     record_steps = [*range(0, n_steps, every), n_steps]
     records = np.empty((len(starts), len(record_steps), grid.n),
                        dtype=np.complex128)
@@ -163,7 +167,6 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
             r += 1
     records.setflags(write=False)
     times = [step * dt for step in record_steps]
-    profile = weight_profile(measure)
     return [_trajectory(params, times, states, potential, measure, profile)
             for states in records]
 

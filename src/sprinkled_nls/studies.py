@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng as _rng
 from .constants import CALIBRATION
-from .errors import ConfigError
+from .errors import MAX_ENTRIES, ConfigError, checked_size
 from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
                     random_field, sobolev_norm)
 from .measure import weight_profile, weighted_l2_norm
@@ -142,16 +142,17 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
                           "so all runs record at common times")
     eps_max = solve_eps[0]
 
-    def run(eps: float):
+    def params_at(eps: float) -> SolverParams:
         substeps = int(np.ceil(params.record_every
                                * (eps_max / eps) ** EPS_DT_POWER - 1e-9))
-        local = SolverParams(dt=rec_interval / substeps,
-                             t_final=params.t_final,
-                             record_every=substeps,
-                             record_quartic=params.record_quartic)
-        return evolve_regularized(psi0, mu, eps, local, variant)
+        return SolverParams(dt=rec_interval / substeps,
+                            t_final=params.t_final, record_every=substeps,
+                            record_quartic=params.record_quartic)
 
-    runs = {eps: run(eps) for eps in solve_eps}
+    # every width's step count passes its rule before any width runs
+    per_width = {eps: params_at(eps) for eps in solve_eps}
+    runs = {eps: evolve_regularized(psi0, mu, eps, p, variant)
+            for eps, p in per_width.items()}
 
     d_h1, d_l2mu, d_sum = [], [], []
     for eps in ladder:
@@ -292,6 +293,8 @@ def moment_study(profiles: Mapping[str, WaveField] | None = None,
         profiles = _default_profiles(Grid(32.0, 4096))
     if not profiles:
         raise ConfigError("need at least one field profile")
+    checked_size("sample table entries (samples x profiles)",
+                 n_samples * len(profiles), MAX_ENTRIES)
     fields = list(profiles.values())
     if any(f.grid != fields[0].grid for f in fields[1:]):
         raise ConfigError("all profiles must share one grid")
@@ -369,6 +372,8 @@ def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     if n_samples < 1000:
         raise ConfigError("need at least 1000 samples")
     heights = (0.5, 1.0, 2.0)
+    checked_size("sample table entries (samples x heights)",
+                 n_samples * len(heights), MAX_ENTRIES)
     phis = [smoothed_indicator(0.0, 1.0, height=h) for h in heights]
 
     counts = np.concatenate([np.diff(batch.offsets) for batch in poisson_sweep(

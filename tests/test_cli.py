@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import json
+import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from sprinkled_nls import cli
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
-from sprinkled_nls.errors import ConfigError
+from sprinkled_nls.errors import MAX_ENTRIES, MAX_STEPS, ConfigError
 from sprinkled_nls.field import _BIN_MAGIC, Grid
 from sprinkled_nls.mollify import VARIANTS, check_resolution
 from sprinkled_nls.studies import StudyReport
@@ -212,6 +214,59 @@ def test_heavy_atom_solve_exits_0(tmp_path):
     l2mu = np.loadtxt(out / "diagnostics.csv", delimiter=",",
                       skiprows=1)[:, header.index("l2mu")]
     assert np.isfinite(l2mu).all() and (l2mu > 0).all()
+
+
+def run_capped(tmp_path, command, *pairs):
+    """``python3 -m sprinkled_nls.cli`` in a child process whose address
+    space is capped at 2 GiB, so an oversize input that escapes the size
+    rule fails its allocation there instead of in the test process."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sprinkled_nls.cli", command,
+         "--out", str(tmp_path / "x"), *overrides(*pairs)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": path})
+
+
+def test_oversize_configs_exit_2(tmp_path):
+    """Each size a config drives passes one rule against its ceiling before
+    anything is allocated or stepped: grid points, interval-table cells,
+    lattice sites, mean atom count, fixed atom count, study samples, held
+    records and steps."""
+    for command, pairs, ceiling in (
+            ("sample", ["measure=none", "window_hi=1e15"], MAX_ENTRIES),
+            ("solve", ["measure=none", "window_hi=1e15"], MAX_ENTRIES),
+            ("sample", ["measure=bernoulli", "spacing=1e-10"], MAX_ENTRIES),
+            ("sample", ["intensity=1e12"], MAX_ENTRIES),
+            ("solve", ["dt=1e-6", "t_final=10", "record_every=1"],
+             MAX_ENTRIES),
+            ("solve", ["n_points=1099511627776"], MAX_ENTRIES),
+            ("sample", ["measure=canonical", "count=1000000000000"],
+             MAX_ENTRIES),
+            ("study", ["study=moments", "n_samples=1000000000000"],
+             MAX_ENTRIES),
+            ("study", ["study=laplace", "n_samples=5000000000"], MAX_ENTRIES),
+            ("solve", ["dt=1e-300"], MAX_STEPS)):
+        proc = run_capped(tmp_path, command, *pairs)
+        assert proc.returncode == 2, (command, pairs, proc.stderr)
+        assert re.search(rf"^config error: .*ceiling \[0, {ceiling}\]$",
+                         proc.stderr, re.MULTILINE), (command, pairs,
+                                                      proc.stderr)
+
+
+def test_heavy_atom_sample_writes_window_rows(tmp_path):
+    """profile.csv holds the window's rows only, whatever an atom's mass."""
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"window": [-32, 32], "atoms": [[0.3, 1e5]]}))
+    proc = run_capped(tmp_path, "sample", "measure=file",
+                      f"atoms_file={atoms}")
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "x" / "profile.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(-32, 33))
 
 
 @pytest.mark.parametrize("command, pairs", [

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
+from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.field import Grid, evaluate_at, l2_norm, random_field
 from sprinkled_nls.measure import (_interval_masses, block_norm, chi,
                                    save_profile_csv, weight_profile,
@@ -132,9 +133,10 @@ def test_interval_masses_reject_atoms_outside_range():
 @pytest.mark.parametrize("k_start, k_end, rows", [
     (0, 2**63, 1), (-2**63 - 1, 0, 1), (0, 2**62, 2), (-10**300, 10**300, 1)])
 def test_interval_masses_reject_ranges_beyond_int64(k_start, k_end, rows):
-    """Keys (sample, interval) that do not fit int64 raise ValueError before
-    any table is allocated; empty samples carry no atom to catch it."""
-    with pytest.raises(ValueError, match="int64"):
+    """Keys (sample, interval) that do not fit int64 are far past the size
+    ceiling, which raises ConfigError before any table is allocated; empty
+    samples carry no atom to catch it."""
+    with pytest.raises(ConfigError, match="ceiling"):
         _interval_masses(np.empty(0), np.empty(0), np.zeros(rows + 1, int),
                          k_start, k_end)
 
@@ -354,8 +356,7 @@ def test_profile_csv(tmp_path, unit_atom):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,nk_squared"
     ks, vals = zip(*(ln.split(",") for ln in lines[1:]))
-    margin = 2 * 5  # 2 ceil(4 + m^2) rows of baseline past each edge
-    assert int(ks[0]) == p.k_start - margin
-    assert int(ks[-1]) == p.k_end + margin
+    # the profile's own rows; N_k^2 past them follows the edge rule
+    assert [int(k) for k in ks] == list(range(p.k_start, p.k_end + 1))
     assert float(vals[-int(ks[0])]) == 5.0  # row for k = 0
     assert float(vals[0]) == float(vals[-1]) == 4.0

@@ -119,7 +119,7 @@ def test_bernoulli_crystal_full_probability_is_comb():
                                      1e-310, 1e-300])
 def test_lattice_spacing_rule(spacing):
     """Both lattice users reject a spacing that is not positive and finite,
-    or whose site indices do not fit int64, with one ValueError."""
+    or whose site count is past the size ceiling, with a ValueError."""
     with pytest.raises(ValueError, match="spacing"):
         sample_bernoulli_crystal((-32.0, 32.0), spacing, 0.5, seed=0)
     with pytest.raises(ValueError, match="spacing"):

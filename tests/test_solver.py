@@ -3,7 +3,8 @@ import pytest
 
 from sprinkled_nls import rng
 from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
-from sprinkled_nls.errors import BlowUpError, OracleInstabilityError
+from sprinkled_nls.errors import (BlowUpError, ConfigError,
+                                  OracleInstabilityError)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
                                  free_propagator, gaussian_field, l2_norm,
                                  load_field_bin, random_field, sobolev_norm,
@@ -37,7 +38,7 @@ def test_solver_params_validation():
     # a finite step count past the ceiling is refused before any stepping
     assert SolverParams(dt=1.0 / MAX_STEPS, t_final=1.0).n_steps == MAX_STEPS
     for dt in (1.0 / (MAX_STEPS + 1), 1e-300):
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match=f"ceiling \\[0, {MAX_STEPS}\\]"):
             SolverParams(dt=dt, t_final=1.0)
     for t_final in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -46,6 +47,25 @@ def test_solver_params_validation():
         SolverParams(dt=1e-2, t_final=1.0, record_every=0)
     p = SolverParams(dt=1e-2, t_final=1.0)
     assert p.n_steps == 100
+
+
+def test_size_rule_runs_before_the_first_step(grid, monkeypatch):
+    """A record array or a weight-profile table past the size ceiling is
+    refused before any FFT runs."""
+    psi0, potential = gaussian_field(grid), zero_potential(grid)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("stepped before the size rule")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    with pytest.raises(ConfigError, match="record entries"):
+        evolve(psi0, potential, SolverParams(dt=1e-6, t_final=0.3,
+                                             record_every=1),
+               measure=no_atoms(grid))
+    huge = AtomicMeasure((-16.0, 1e15), np.empty(0), np.empty(0))
+    with pytest.raises(ConfigError, match="interval table"):
+        evolve(psi0, potential, SolverParams(dt=1e-2, t_final=0.1),
+               measure=huge)
 
 
 def test_zero_potential_matches_free_propagator(grid):

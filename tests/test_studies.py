@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.errors import ConfigError
+from sprinkled_nls.errors import MAX_STEPS, ConfigError
 from sprinkled_nls.field import Grid, gaussian_field, hat_moments
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
@@ -73,6 +73,21 @@ def test_eps_ladder_validation(grid):
     # every solve width is checked before the first solve
     with pytest.raises(ConfigError):
         eps_convergence_study(psi0, mu, (0.8, 0.4, float("nan")), params)
+
+
+def test_eps_step_ceiling_checked_before_any_run(grid, unit_atom,
+                                                 monkeypatch):
+    """Every width's step count is checked before the first width runs: here
+    the coarse widths take 5e5 to 4e6 steps and the finest 1.1e7."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a width ran before every width was checked")
+
+    monkeypatch.setattr(studies, "evolve_regularized", no_run)
+    with pytest.raises(ConfigError, match=f"ceiling \\[0, {MAX_STEPS}\\]"):
+        eps_convergence_study(gaussian_field(grid), unit_atom,
+                              (1.0, 0.5, 0.25),
+                              SolverParams(dt=1e-3, t_final=500.0,
+                                           record_every=10))
 
 
 def test_eps_convergence_smoke():
