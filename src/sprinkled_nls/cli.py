@@ -281,7 +281,7 @@ def cmd_study(cfg: dict) -> int:
             cfg["deltas"], _solver_params(cfg),
             _rng.substream_seed(cfg["seed"], 2), **_if_set(cfg, "variant"))
     elif which == "moments":
-        report = moment_study(None, seed=cfg["seed"],
+        report = moment_study(_grid(cfg), seed=cfg["seed"],
                               window=(cfg["window_lo"], cfg["window_hi"]),
                               intensity=cfg["intensity"],
                               **_if_set(cfg, "n_samples"))

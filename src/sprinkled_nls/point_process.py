@@ -215,16 +215,17 @@ def sample_poisson(window: tuple[float, float], intensity: float, seed
 
 def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
     """The lattice sites k*spacing in [a, b]; a site within 1e-12 lattice
-    steps of an edge counts as on it, so rounding never drops an edge site.
-    A spacing that is not positive and finite raises ValueError, a site
-    count past the size ceiling ConfigError."""
+    steps of an edge counts as on it and is clipped onto it, so rounding
+    neither drops an edge site nor puts one outside the window.  A spacing
+    that is not positive and finite raises ValueError, a site count past the
+    size ceiling ConfigError."""
     if not 0 < spacing < np.inf:
         raise ValueError(f"lattice spacing {spacing:g} must be positive and "
                          "finite")
     k_lo = np.ceil(a / spacing - 1e-12)
     n = checked_size(f"lattice sites at spacing {spacing:g}",
                      np.floor(b / spacing + 1e-12) - k_lo + 1, MAX_ENTRIES)
-    return spacing * (k_lo + np.arange(n))
+    return np.clip(spacing * (k_lo + np.arange(n)), a, b)
 
 
 def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,

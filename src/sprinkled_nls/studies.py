@@ -9,7 +9,7 @@ a bad one, which the CLI reports as a configuration problem.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -191,8 +191,9 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
                     variant: str = "fully_truncated") -> StudyReport:
     """Difference-ratio growth under initial-data perturbations.
 
-    Perturbs psi0 by delta * g for a seeded unit-H^1 random field g, runs both
-    trajectories over both time directions, and reports
+    Perturbs psi0 by delta * g for a seeded unit-H^1 random field g and each
+    delta of a strictly decreasing list of sizes with 0 < delta < inf, runs
+    both trajectories over both time directions, and reports
     R(delta) = sup_{|t| <= T} ||psi - phi||_{H^-1} / delta together with the
     interaction size K = sup_t (||psi||_{H^1} ||psi||_{L^2_mu} + same for
     phi).  The potential is real, so evolving the conjugate data forward
@@ -201,15 +202,12 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     All 2 (1 + #deltas) runs share one potential and one step, so they
     advance as one stack through ``evolve_many``.
 
-    A delta of zero is allowed and reports an exact bitwise match instead of
-    a ratio; such rows carry r = nan and are excluded from the ratio flags.
-    Flags: R varies by less than a factor of two across positive deltas,
-    every such R stays below C * exp(C * K^2 (1 + K^2) * T^2) at the frozen
-    C, and zero-delta rows match exactly.
+    Flags: R varies by less than a factor of two across deltas, and every R
+    stays below C * exp(C * K^2 (1 + K^2) * T^2) at the frozen C.
     """
     deltas = [float(d) for d in deltas]
-    if not deltas or not all(0 <= d < np.inf for d in deltas):
-        raise ConfigError("deltas must be finite and nonnegative")
+    if not deltas or not all(0 < d < np.inf for d in deltas):
+        raise ConfigError("deltas must be positive and finite")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("deltas must be strictly decreasing")
     g = random_field(psi0.grid, _rng.generator(seed))
@@ -223,7 +221,7 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     fwd, bwd = runs[: len(starts)], runs[len(starts):]
 
     t_final = float(fwd[0].diagnostics["t"][-1])
-    r_vals, k_vals, env_vals, exact = [], [], [], []
+    r_vals, k_vals, env_vals = [], [], []
     for idx, delta in enumerate(deltas, start=1):
         sup_diff = 0.0
         k = 0.0
@@ -234,76 +232,58 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
             k = max(k, float(np.max(
                 base.diagnostics["h1"] * base.diagnostics["l2mu"]
                 + traj.diagnostics["h1"] * traj.diagnostics["l2mu"])))
-        exact.append(sup_diff == 0.0)
-        r_vals.append(sup_diff / delta if delta > 0 else float("nan"))
+        r_vals.append(sup_diff / delta)
         k_vals.append(k)
         # capped exponent: the flag compares against a finite ceiling
         exponent = min(c_env * k**2 * (1 + k**2) * t_final**2, 700.0)
         env_vals.append(c_env * float(np.exp(exponent)))
 
-    pos = [r for r, d in zip(r_vals, deltas) if d > 0]
     flags = {
-        "bounded_variation": (max(pos) < 2.0 * min(pos)) if pos else True,
-        "within_envelope": all(r <= e for r, d, e
-                               in zip(r_vals, deltas, env_vals) if d > 0),
-        "zero_deltas_exact": all(x for x, d in zip(exact, deltas) if d == 0),
+        "bounded_variation": max(r_vals) < 2.0 * min(r_vals),
+        "within_envelope": all(r <= e for r, e in zip(r_vals, env_vals)),
     }
     return StudyReport(
         "stability",
         {"eps": eps, "variant": variant, "dt": params.dt,
-         "t_final": params.t_final, "seed": seed,
-         "envelope_constant": c_env},
-        {"delta": deltas, "r": r_vals, "k": k_vals, "envelope": env_vals,
-         "exact_match": exact},
-        {"max_over_min": (max(pos) / min(pos)) if pos else 0.0}, flags,
+         "t_final": params.t_final, "seed": seed},
+        {"delta": deltas, "r": r_vals, "k": k_vals, "envelope": env_vals},
+        {"max_over_min": max(r_vals) / min(r_vals)}, flags,
         {"stability_envelope_constant": c_env})
 
 
-def _default_profiles(grid: Grid) -> dict[str, WaveField]:
-    return {
-        "gauss_wide": gaussian_field(grid, sigma=1.0),
-        "gauss_shifted": gaussian_field(grid, sigma=0.5, center=3.0),
-        "gauss_broad": gaussian_field(grid, sigma=2.0, center=-5.0),
-    }
-
-
-def moment_study(profiles: Mapping[str, WaveField] | None = None,
-                 n_samples: int = 20000, seed: int = 0, *,
-                 window: tuple[float, float] = (-32.0, 32.0),
+def moment_study(grid: Grid | None = None, n_samples: int = 20000,
+                 seed: int = 0, *, window: tuple[float, float] = (-32.0, 32.0),
                  intensity: float = 1.0) -> StudyReport:
     """Sampled weight statistics at the origin plus weighted-mass ratios.
 
     Estimates E[N_0^2] over unit-intensity samples and checks that the
     estimate moves by under 2% between n/2 and n samples and lands in the
-    frozen reference band.  For each field profile it checks the first and
-    second moments of ||f||_{L^2_mu}^2 against the frozen ratio bounds:
+    frozen reference band.  For each of three Gaussian fields on ``grid``
+    (None gives Grid(32, 4096)) it checks the first and second moments of
+    ||f||_{L^2_mu}^2 against the frozen ratio bounds:
     E X <= c ||f||_{L^2}^2 and E X^2 <= c_2 ||f||_{L^2}^4.
 
     The samples come in the sweep's chunks: each chunk's N_k^2 at the
     grid's integers comes from one ``weight_profile(batch)``, whose rows are
     bit for bit the profiles of the chunk's samples, so every draw and every
     value is that of ``weight_profile`` on the same sample.
-
-    ``profiles`` maps names to fields; None gives three built-in Gaussians on
-    the default grid.
     """
     if n_samples < 1000:
         raise ConfigError("need at least 1000 samples for stable statistics")
-    if profiles is None:
-        profiles = _default_profiles(Grid(32.0, 4096))
-    if not profiles:
-        raise ConfigError("need at least one field profile")
+    if grid is None:
+        grid = Grid(32.0, 4096)
+    profiles = {
+        "gauss_wide": gaussian_field(grid, sigma=1.0),
+        "gauss_shifted": gaussian_field(grid, sigma=0.5, center=3.0),
+        "gauss_broad": gaussian_field(grid, sigma=2.0, center=-5.0),
+    }
     checked_size("sample table entries (samples x profiles)",
                  n_samples * len(profiles), MAX_ENTRIES)
-    fields = list(profiles.values())
-    if any(f.grid != fields[0].grid for f in fields[1:]):
-        raise ConfigError("all profiles must share one grid")
-    grid = fields[0].grid
     names = list(profiles)
-    denoms = np.array([l2_norm(profiles[k]) ** 2 for k in names])
+    denoms = np.array([l2_norm(f) ** 2 for f in profiles.values()])
     # ||f||_{L^2_mu}^2 = sum_k N_k^2 h_k(f): the hat moments of each field
     # are computed once and paired with every sampled profile
-    pairs = [hat_moments(profiles[k]) for k in names]
+    pairs = [hat_moments(f) for f in profiles.values()]
     ks = pairs[0][0]
     origin = int(np.flatnonzero(ks == 0)[0])  # ks spans [-L, L], so holds 0
     moments = np.array([h for _, h in pairs])

@@ -89,6 +89,18 @@ def test_sample_empty_measures(tmp_path):
     assert (out2 / "atoms.csv").read_text() == "position,mass\n"
 
 
+def test_bernoulli_edge_site_sample_exits_0(tmp_path):
+    """The top lattice site 3 * 0.1 rounds above window_hi = 0.3; it is
+    clipped onto the edge, so the sample is written, not refused."""
+    out = tmp_path / "b"
+    assert run("sample", "--out", str(out),
+               *overrides("measure=bernoulli", "spacing=0.1", "window_lo=-10",
+                          "window_hi=0.3")) == 0
+    rows = (out / "atoms.csv").read_text().splitlines()[1:]
+    assert len(rows) == 104
+    assert float(rows[-1].split(",")[0]) == 0.3
+
+
 def test_solve_comb_mass_conserved(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("solve", "--out", str(out), "--override", "half_length=8",
@@ -391,6 +403,16 @@ def test_study_moments_pass_and_report(tmp_path, capsys):
     assert (out / "manifest.json").is_file()
 
 
+def test_study_moments_reads_the_grid(tmp_path):
+    """The moment study builds its Gaussians on the configured grid."""
+    out = tmp_path / "m"
+    assert run("study", "--out", str(out),
+               *overrides("study=moments", "half_length=16", "n_points=1024",
+                          "n_samples=1000")) == 0
+    params = json.loads((out / "study_moments.json").read_text())["params"]
+    assert (params["grid_n"], params["half_length"]) == (1024, 16.0)
+
+
 def test_study_flag_failure_exits_5(tmp_path):
     # seed 123 at 1000 samples leaves the half-vs-full estimate > 2% apart
     code = run("study", "--out", str(tmp_path / "f"), "--seed", "123",
@@ -417,6 +439,8 @@ def test_study_ladder_validation(tmp_path):
                "study=stability", "--override", "deltas=1e-4,1e-3") == 2
     assert run("study", "--out", str(tmp_path / "x"), "--override",
                "study=stability", "--override", "deltas=nan") == 2
+    assert run("study", "--out", str(tmp_path / "x"), "--override",
+               "study=stability", "--override", "deltas=1e-2,0") == 2
 
 
 @pytest.mark.parametrize("study, fn", [("eps", "eps_convergence_study"),
@@ -456,6 +480,32 @@ def test_unset_n_samples_is_the_study_default(tmp_path, monkeypatch, study, fn):
         assert run("study", "--out", str(tmp_path / str(n)),
                    *overrides(f"study={study}", f"n_samples={n}")) == 0
     assert seen == [signature.parameters["n_samples"].default, 1234]
+
+
+def test_every_study_input_is_set_by_the_cli(tmp_path, monkeypatch):
+    """With variant and n_samples set, the CLI binds every parameter of each
+    study function, and none to None: no study input is left to a default
+    that only a direct caller could change."""
+    studies = {"eps": "eps_convergence_study", "stability": "stability_study",
+               "moments": "moment_study", "laplace": "laplace_study"}
+    signatures = {fn: inspect.signature(getattr(cli, fn))
+                  for fn in studies.values()}
+    bound = {}
+
+    def stub_for(fn):
+        def stub(*args, **kwargs):
+            bound[fn] = signatures[fn].bind(*args, **kwargs).arguments
+            return StudyReport(fn, {}, {})
+        return stub
+
+    for fn in signatures:
+        monkeypatch.setattr(cli, fn, stub_for(fn))
+    for study, fn in studies.items():
+        assert run("study", "--out", str(tmp_path / study),
+                   *overrides(f"study={study}", "variant=fully_truncated",
+                              "n_samples=1234")) == 0
+        assert list(bound[fn]) == list(signatures[fn].parameters), fn
+        assert all(v is not None for v in bound[fn].values()), fn
 
 
 def test_module_entry_point(tmp_path):

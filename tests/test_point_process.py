@@ -1,11 +1,13 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls import rng
+from sprinkled_nls import point_process, rng
 from sprinkled_nls.point_process import (AtomicMeasure, PoissonBatch,
                                          bernoulli_laplace_functional,
                                          empirical_laplace_functional,
@@ -125,6 +127,35 @@ def test_lattice_spacing_rule(spacing):
     with pytest.raises(ValueError, match="spacing"):
         bernoulli_laplace_functional(smoothed_indicator(0.0, 1.0), spacing,
                                      0.5)
+
+
+@pytest.mark.parametrize("num, den", [(1, 10), (1, 100), (1, 1000), (3, 10),
+                                      (7, 10), (1, 20)])
+def test_lattice_sites_stay_in_window(num, den):
+    """On windows whose edges are multiples of 0.1 in [-10, 10], every
+    lattice site lies in the closed window and the site count is the exact
+    decimal count, so a site on an edge is kept and none falls outside by
+    rounding (spacing 0.1 on (-10, 0.3) once put its top site at
+    0.30000000000000004).  Both lattice users are checked: the crystal's
+    atoms and the sites the Laplace functional evaluates phi at."""
+    spacing, exact = num / den, Fraction(num, den)
+    evaluated = []
+
+    def record(x):
+        evaluated.append(x)
+        return np.zeros_like(x)
+
+    for i in range(-100, 101, 3):
+        for j in range(i + 1, 101, 3):
+            a, b = i / 10, j / 10
+            count = (math.floor(Fraction(j, 10) / exact)
+                     - math.ceil(Fraction(i, 10) / exact) + 1)
+            atoms = sample_bernoulli_crystal((a, b), spacing, 1.0, seed=0)
+            phi = point_process.TestFunction(record, (a, b))
+            bernoulli_laplace_functional(phi, spacing, 1.0)
+            for sites in (atoms.positions, evaluated.pop()):
+                assert sites.size == count, (a, b)
+                assert ((a <= sites) & (sites <= b)).all(), (a, b)
 
 
 def test_bernoulli_crystal_thins():

@@ -136,7 +136,7 @@ def test_stability_delta_validation(grid, unit_atom):
         stability_study(psi0, unit_atom, 0.2, (1e-3, 1e-2), params, 0)
     with pytest.raises(ValueError):
         stability_study(psi0, unit_atom, 0.2, (), params, 0)
-    for bad in (float("nan"), float("inf")):
+    for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             stability_study(psi0, unit_atom, 0.2, (bad,), params, 0)
 
@@ -147,42 +147,35 @@ def test_stability_smoke_time_symmetric():
     single = sample_poisson((-0.5, 0.5), 1.0, substream_seed(0xCA1B + 6, 1))
     assert single.count == 1
     rep = stability_study(
-        psi0, single, 0.1, (1e-2, 1e-3, 1e-4, 0.0),
+        psi0, single, 0.1, (1e-2, 1e-3, 1e-4),
         SolverParams(dt=1e-3, t_final=0.5, record_every=50,
                      record_quartic=False), 0xCA1B + 7)
     assert rep.passed()
-    assert rep.columns["exact_match"] == [False, False, False, True]
-    assert math.isnan(rep.columns["r"][-1])
     assert rep.rates["max_over_min"] < 1.01
     assert rep.constants["stability_envelope_constant"] == \
         CALIBRATION["stability_envelope_constant"]
 
 
-def test_stability_zero_delta_row_is_exact(grid, unit_atom):
-    """The unperturbed start and its zero-delta copy share one stack; their
-    rows stay independent and identical."""
-    rep = stability_study(gaussian_field(grid), unit_atom, 0.2, (1e-2, 0.0),
-                          SolverParams(dt=1e-2, t_final=0.1, record_every=5),
-                          0)
-    assert rep.flags["zero_deltas_exact"]
-    assert rep.columns["exact_match"] == [False, True]
+# name -> (sigma, center) of the moment study's three Gaussian fields
+MOMENT_FIELDS = {"gauss_wide": (1.0, 0.0), "gauss_shifted": (0.5, 3.0),
+                 "gauss_broad": (2.0, -5.0)}
+
+
+def _moment_fields(grid):
+    return [gaussian_field(grid, sigma=s, center=c)
+            for s, c in MOMENT_FIELDS.values()]
 
 
 def test_moment_validation():
-    f = gaussian_field(Grid(32.0, 1024))
     with pytest.raises(ValueError):
-        moment_study({"f": f}, 999, 0)
-    with pytest.raises(ValueError):
-        moment_study({}, 1000, 0)
-    other = gaussian_field(Grid(16.0, 1024))
-    with pytest.raises(ValueError):
-        moment_study({"f": f, "other": other}, 1000, 0)
+        moment_study(Grid(32.0, 1024), 999, 0)
 
 
 def test_moment_default_profiles_pass():
     rep = moment_study(None, 1000, 0)
     assert rep.passed()
-    assert len(rep.columns["profile"]) == 3
+    assert rep.columns["profile"] == list(MOMENT_FIELDS)
+    assert (rep.params["grid_n"], rep.params["half_length"]) == (4096, 32.0)
     band = CALIBRATION["expected_n0_squared_band"]
     assert band[0] <= rep.rates["n0_squared_full"] <= band[1]
     assert max(rep.columns["ratio"]) <= CALIBRATION["moment_ratio_bound"]
@@ -191,28 +184,29 @@ def test_moment_default_profiles_pass():
 
 
 def test_moment_window_insensitive():
-    """The origin statistic only sees atoms near 0; the window just needs to
-    cover the field."""
-    f = gaussian_field(Grid(32.0, 1024))
-    a = moment_study({"f": f}, 2000, 5, window=(-20.0, 20.0))
-    b = moment_study({"f": f}, 2000, 5, window=(-32.0, 32.0))
-    ra, rb = a.columns["ratio"][0], b.columns["ratio"][0]
-    assert abs(ra - rb) < 0.05 * max(ra, rb)
+    """The ratios only see atoms near each field; the window just needs to
+    cover the fields."""
+    grid = Grid(32.0, 1024)
+    a = moment_study(grid, 2000, 5, window=(-20.0, 20.0))
+    b = moment_study(grid, 2000, 5, window=(-32.0, 32.0))
+    for ra, rb in zip(a.columns["ratio"], b.columns["ratio"]):
+        assert abs(ra - rb) < 0.05 * max(ra, rb)
 
 
 def test_moment_pairing_equals_weighted_norm():
     """The study pairs each field's hat moments with every sampled profile;
     that is the squared weighted norm of the field against each sample.  Its
     N_0^2 comes from the same paired row."""
-    f = gaussian_field(Grid(16.0, 512), sigma=2.0, center=1.5)
+    grid = Grid(16.0, 512)
     window, seed, n = (-16.0, 16.0), 3, 1000
-    rep = moment_study({"f": f}, n, seed, window=window)
+    rep = moment_study(grid, n, seed, window=window)
     profiles = [weight_profile(sample_poisson(window, 1.0,
                                               substream_seed(seed, i)))
                 for i in range(n)]
-    direct = np.mean([weighted_l2_norm(f, p) ** 2 for p in profiles])
-    assert rep.columns["mean_weighted_squared"][0] == pytest.approx(
-        direct, rel=1e-14)
+    for f, got in zip(_moment_fields(grid),
+                      rep.columns["mean_weighted_squared"], strict=True):
+        direct = np.mean([weighted_l2_norm(f, p) ** 2 for p in profiles])
+        assert got == pytest.approx(direct, rel=1e-14)
     assert rep.rates["n0_squared_full"] == pytest.approx(
         np.mean([p.nk_squared(0) for p in profiles]), rel=1e-14)
 
@@ -224,16 +218,18 @@ def test_moment_chunks_equal_per_sample_profiles(window):
     41.  Each chunk's table spans the window and is read at the grid's
     integers through the edge rule, so the study reads exactly the N_k^2 of
     each sample's own profile, paired in the same order and arithmetic."""
-    f = gaussian_field(Grid(32.0, 4096), sigma=2.0, center=1.5)
+    grid = Grid(32.0, 4096)
     seed, n = 4, 1001
-    rep = moment_study({"f": f}, n, seed, window=window)
-    ks, h = hat_moments(f)
-    n0sq, wsq = np.empty(n), np.zeros((n, 1))
+    rep = moment_study(grid, n, seed, window=window)
+    pairs = [hat_moments(f) for f in _moment_fields(grid)]
+    ks = pairs[0][0]
+    moments = np.array([h for _, h in pairs])
+    n0sq, wsq = np.empty(n), np.zeros((n, len(pairs)))
     for i in range(n):
         mu = sample_poisson(window, 1.0, substream_seed(seed, i))
         nk2 = weight_profile(mu).nk_squared(ks)
         n0sq[i] = nk2[ks == 0][0]
-        wsq[i] = h[None, :] @ nk2
+        wsq[i] = moments @ nk2
     assert rep.rates["n0_squared_full"] == float(np.mean(n0sq))
     assert rep.columns["mean_weighted_squared"] == \
         np.mean(wsq, axis=0).tolist()
@@ -250,8 +246,7 @@ def test_moment_study_builds_one_profile_per_chunk(monkeypatch):
         return weight_profile(batch)
 
     monkeypatch.setattr(studies, "weight_profile", counted)
-    f = gaussian_field(Grid(16.0, 512))
-    moment_study({"f": f}, 1000, 2, window=(-16.0, 16.0))
+    moment_study(Grid(16.0, 512), 1000, 2, window=(-16.0, 16.0))
     full, rest = divmod(1000, studies.SWEEP_CHUNK)
     assert calls == [studies.SWEEP_CHUNK] * full + [rest] * (rest > 0)
 
