@@ -14,9 +14,20 @@ method-of-lines system serves as an independent reference.
 
 One kernel, ``evolve_many``, advances a stack of initial states that share a
 grid, a potential and a step as one (B, N) array: each transform is a single
-FFT call along axis 1, four per step whatever B is, written back into the
-stack so that stepping keeps one (B, N) working array.  ``evolve`` is the
-B = 1 case.  The nonlinear phase is applied only on the support of V (gather,
+FFT call along axis 1, written back into the stack so that stepping keeps one
+(B, N) working array.  ``evolve`` is the B = 1 case.  The free half step that
+ends one step and the one that opens the next compose to one full free step
+exp(-i xi^2 dt) (the splitting is first same as last), so the stack stays in
+Fourier space between steps: one FFT and a half-step multiply before the
+first step, then per step an IFFT, the kick, an FFT and the full free
+multiply.  That is two transforms per step whatever B is, plus one per
+record: a record is the IFFT of the spectrum times the half-step multiplier,
+written straight into its row of the record array, so the state that steps
+on never depends on the record schedule.  The finiteness check reads the
+spectrum after the kick, which a non-finite value anywhere in its row makes
+non-finite.
+
+The nonlinear phase is applied only on the support of V (gather,
 multiply, scatter); off the support it is exp(0) = 1, so this is exact.
 The phase product is computed as np.multiply(psi, phase, out=psi), psi
 first: the complex product is not symmetric in its operands under FMA, and
@@ -136,6 +147,7 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
         raise ValueError("potential and initial data must share a grid")
     dt = params.dt
     half = np.exp(-0.5j * dt * grid.xi**2)
+    full = np.exp(-1j * dt * grid.xi**2)
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
 
@@ -149,22 +161,23 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
                        dtype=np.complex128)
     v = np.array([psi0.values for psi0 in starts])
     records[:, 0] = v
+    np.fft.fft(v, axis=1, out=v)
+    v *= half
     r = 1
     for step in range(1, n_steps + 1):
-        np.fft.fft(v, axis=1, out=v)
-        v *= half
         np.fft.ifft(v, axis=1, out=v)
         w = v[:, support]
         np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
         v[:, support] = w
         np.fft.fft(v, axis=1, out=v)
-        v *= half
-        np.fft.ifft(v, axis=1, out=v)
         if not np.isfinite(v).all():
             raise BlowUpError(step, step * dt)
         if step == record_steps[r]:
-            records[:, r] = v
+            record = records[:, r]
+            np.multiply(v, half, out=record)
+            np.fft.ifft(record, axis=1, out=record)
             r += 1
+        v *= full
     records.setflags(write=False)
     times = [step * dt for step in record_steps]
     return [_trajectory(params, times, states, potential, measure, profile)

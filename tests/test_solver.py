@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import rng
+from sprinkled_nls import rng, solver
 from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
 from sprinkled_nls.errors import (BlowUpError, ConfigError,
                                   OracleInstabilityError)
@@ -193,6 +193,87 @@ def test_blow_up_detected(grid):
         evolve(bad, zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1),
                measure=no_atoms(grid))
     assert info.value.step == 1
+
+
+def test_blow_up_reports_the_step_a_drifting_bump_overflows():
+    """A bump too large to square drifts onto the support of V: the first
+    non-finite value is the kick's |psi|^2 at step 3, not at the start.
+
+    Each free step moves the bump's centre by 2 k dt = 8, so the pre-kick
+    states of steps 1 and 2 (centres -16 and -8, widths under 1.2) have only
+    rounding noise on the support, while at step 3 the centre is 0 and the
+    peak 2e154 * 2**-0.25 squares past the largest double.
+    """
+    grid = Grid(32.0, 2048)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.0]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    bump = gaussian_field(grid, center=-20.0, amplitude=2e154)
+    psi0 = WaveField(grid, bump.values * np.exp(40j * grid.x))
+    with pytest.raises(BlowUpError) as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        evolve(psi0, pot, SolverParams(dt=0.1, t_final=1.0), measure=mu)
+    assert info.value.step == 3
+
+
+def four_fft_strang(psi0, potential, dt, record_steps):
+    """The textbook Strang step L(dt/2) N(dt) L(dt/2), each free half step
+    an FFT, a multiply and an IFFT; returns the states at record_steps."""
+    half = np.exp(-0.5j * dt * potential.grid.xi**2)
+    v, states = psi0.values, []
+    for step in range(record_steps[-1] + 1):
+        if step:
+            v = np.fft.ifft(half * np.fft.fft(v))
+            v = v * np.exp(-2j * dt * potential.values * np.abs(v)**2)
+            v = np.fft.ifft(half * np.fft.fft(v))
+        if step in record_steps:
+            states.append(v)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n_steps, every, record_steps", [
+    (12, 1, list(range(13))),
+    (40, 7, [0, 7, 14, 21, 28, 35, 40])])
+def test_fused_steps_match_the_four_fft_strang_step(grid, n_steps, every,
+                                                    record_steps):
+    """Fusing the free half steps between records changes only rounding:
+    every record row of a B = 3 stack matches the unfused step to 1e-12,
+    and record 0 is the start itself."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([-1.5, 0.5, 2.0]),
+                       np.array([1.0, 2.0, 1.5]))
+    pot = truncated_potential(mu, grid, 0.4, "mollified_only")
+    starts = [gaussian_field(grid, amplitude=2.0),
+              *(random_field(grid, rng.generator(k)) for k in range(2))]
+    params = SolverParams(dt=2e-3, t_final=n_steps * 2e-3,
+                          record_every=every)
+    for psi0, traj in zip(starts, evolve_many(starts, pot, params,
+                                              measure=mu)):
+        np.testing.assert_array_equal(traj.states[0], psi0.values)
+        expect = four_fft_strang(psi0, pot, params.dt, record_steps)
+        assert traj.states.shape == expect.shape
+        for got, want in zip(traj.states, expect):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n_starts", [1, 4])
+def test_transforms_per_call(grid, monkeypatch, n_starts):
+    """The stack stays in Fourier space between steps: one FFT to enter it,
+    an IFFT and an FFT around each kick, and one IFFT per record after the
+    start, whatever the number of starts."""
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    # the per-record diagnostics run their own transforms; count the kernel's
+    monkeypatch.setattr(solver, "_trajectory", lambda *args: None)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    n_steps, records = 10, 5  # records at steps 0, 3, 6, 9 and 10
+    evolve_many([gaussian_field(grid)] * n_starts, pot,
+                SolverParams(dt=1e-2, t_final=0.1, record_every=3),
+                measure=mu)
+    assert counts["fft"] + counts["ifft"] == 1 + 2 * n_steps + (records - 1)
 
 
 def test_stack_rows_equal_single_runs_bit_for_bit():
