@@ -146,8 +146,7 @@ def measure_stability_envelope() -> float:
     single = sample_poisson((-0.5, 0.5), 1.0, _rng.substream_seed(SEED + 6, 1))
     best = 0.0
     for t_final, seed in ((0.5, SEED + 7), (1.0, SEED + 8)):
-        params = SolverParams(dt=1e-3, t_final=t_final, record_every=50,
-                              record_quartic=False)
+        params = SolverParams(dt=1e-3, t_final=t_final, record_every=50)
         rep = stability_study(psi0, single, 0.1, (1e-2, 1e-3, 1e-4), params,
                               seed)
         for r, k in zip(rep.columns["r"], rep.columns["k"]):
@@ -177,8 +176,7 @@ def measure_cauchy_ratio() -> float:
     grid = Grid(16.0, 8192)
     psi0 = gaussian_field(grid)
     mu = sample_poisson((-14.0, 14.0), 1.0, _rng.substream_seed(SEED + 10, 0))
-    params = SolverParams(dt=1e-3, t_final=0.25, record_every=50,
-                          record_quartic=False)
+    params = SolverParams(dt=1e-3, t_final=0.25, record_every=50)
     rep = eps_convergence_study(psi0, mu, (0.4, 0.2, 0.1), params)
     return max(r for r in rep.columns["ratio"] if np.isfinite(r))
 

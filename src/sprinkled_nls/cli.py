@@ -77,7 +77,7 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "dt": ("float", 1e-3, "time step"),
     "t_final": ("float", 1.0, "final time"),
     "record_every": ("int", 10, "steps between diagnostic records"),
-    "record_quartic": ("bool", True, "record the quartic measure integral"),
+    "record_quartic": ("bool", True, "record the quartic measure integral (solve)"),
     "snapshots": ("bool", False, "write binary state snapshots (solve)"),
     "study": ("choice:" + ",".join(STUDIES), "eps", "which study to run"),
     "eps_ladder": ("floats", (1.0, 0.5, 0.25, 0.125), "strictly decreasing widths"),

@@ -42,12 +42,13 @@ class ResolutionError(SprinkledNLSError):
 
 
 class BlowUpError(SprinkledNLSError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values appeared during time stepping, or in a run's
+    recorded diagnostics."""
 
-    def __init__(self, step: int, time: float):
+    def __init__(self, step: int, time: float, what: str = "field values"):
         self.step = step
         self.time = time
-        super().__init__(f"non-finite field values at step {step} (t = {time:.6g})")
+        super().__init__(f"non-finite {what} at step {step} (t = {time:.6g})")
 
 
 class OracleInstabilityError(SprinkledNLSError):

@@ -15,17 +15,16 @@ method-of-lines system serves as an independent reference.
 One kernel, ``evolve_many``, advances a stack of initial states that share a
 grid, a potential and a step as one (B, N) array: each transform is a single
 FFT call along axis 1, written back into the stack so that stepping keeps one
-(B, N) working array.  ``evolve`` is the B = 1 case.  The free half step that
-ends one step and the one that opens the next compose to one full free step
-exp(-i xi^2 dt) (the splitting is first same as last), so the stack stays in
-Fourier space between steps: one FFT and a half-step multiply before the
-first step, then per step an IFFT, the kick, an FFT and the full free
-multiply.  That is two transforms per step whatever B is, plus one per
-record: a record is the IFFT of the spectrum times the half-step multiplier,
-written straight into its row of the record array, so the state that steps
-on never depends on the record schedule.  The finiteness check reads the
-spectrum after the kick, which a non-finite value anywhere in its row makes
-non-finite.
+(B, N) working array.  The free half step that ends one step and the one
+that opens the next compose to one full free step exp(-i xi^2 dt) (the
+splitting is first same as last), so the stack stays in Fourier space
+between steps: one FFT and a half-step multiply before the first step, then
+per step an IFFT, the kick, an FFT and the full free multiply.  That is two
+transforms per step whatever B is, plus one per record: a record is the IFFT
+of the spectrum times the half-step multiplier, written straight into its
+row of the record array, so the state that steps on never depends on the
+record schedule.  The finiteness check reads the spectrum after the kick,
+which a non-finite value anywhere in its row makes non-finite.
 
 The nonlinear phase is applied only on the support of V (gather,
 multiply, scatter); off the support it is exp(0) = 1, so this is exact.
@@ -35,12 +34,13 @@ the expression psi * phase lets numpy swap them once the phase temporary
 reaches 256 KiB.  With the order fixed, every row of a stack equals the same
 start run alone bit for bit.
 
-Records land in one (B, R, N) array, allocated before the first step and
-read-only after the last; ``Trajectory.states`` is a run's (R, N) block.
-The diagnostics run one record at a time on a short-lived ``WaveField`` of
-its row, whose cached spectrum serves all of that record's spectral
-diagnostics; a whole block at once would hold (R, N) temporaries per
-diagnostic, which costs more memory than it saves time.
+Records land in one (B, R, N) array at ``SolverParams.record_steps``,
+allocated before the first step and read-only after the last; it is all the
+kernel returns.  ``evolve`` is the only code that builds a ``Trajectory``: it
+steps one start, then runs the diagnostics one record at a time on a
+short-lived ``WaveField`` of its row, whose cached spectrum serves all of
+that record's spectral diagnostics; a whole block at once would hold (R, N)
+temporaries per diagnostic, which costs more memory than it saves time.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError,
                      OracleInstabilityError, checked_size)
 from .field import (Grid, GriddedDensity, WaveField, save_field_bin,
                     sobolev_norm, sup_norm)
-from .measure import WeightProfile, weight_profile, weighted_l2_norm
+from .measure import weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv
 from .point_process import AtomicMeasure
@@ -76,7 +76,8 @@ DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Time-stepping parameters; records happen every record_every steps."""
+    """Time-stepping parameters; a run records at ``record_steps``, and
+    record_quartic reaches ``evolve``'s diagnostics only."""
 
     dt: float
     t_final: float
@@ -99,6 +100,12 @@ class SolverParams:
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
 
+    @property
+    def record_steps(self) -> np.ndarray:
+        """Steps a run records: 0, every record_every steps, the last."""
+        return np.append(np.arange(0, self.n_steps, self.record_every),
+                         self.n_steps)
+
 
 @dataclass
 class Trajectory:
@@ -112,33 +119,13 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray]
 
 
-def _trajectory(params: SolverParams, times: list[float], states: np.ndarray,
-                potential: GriddedDensity, mu: AtomicMeasure,
-                profile: WeightProfile) -> Trajectory:
-    """The recorded states with their diagnostics, one record at a time."""
-    grid = potential.grid
-    fields = (WaveField(grid, row) for row in states)
-    rows = [(t, mass(s), energy(s, potential), sobolev_norm(s, 1.0),
-             weighted_l2_norm(s, profile), sup_norm(s),
-             quartic_measure_integral(s, mu) if params.record_quartic else np.nan)
-            for t, s in zip(times, fields)]
-    return Trajectory(params, grid, states,
-                      {c: np.asarray(col)
-                       for c, col in zip(DIAGNOSTIC_COLUMNS, zip(*rows))})
-
-
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
-                params: SolverParams, *,
-                measure: AtomicMeasure) -> list[Trajectory]:
-    """Strang-split evolution of a stack of initial states, one trajectory
-    per start, with per-record diagnostics.
+                params: SolverParams) -> np.ndarray:
+    """Strang-split evolution of a stack of initial states: the read-only
+    (B, R, N) array of each start's states at ``params.record_steps``.
 
-    Records land at step 0, every record_every steps, and the final step;
-    the record array and the weight profile pass the size rule before the
-    first step.  The weighted norm (and, when record_quartic is on, the
-    quartic measure integral) is recorded against the measure; an empty
-    measure gives the baseline weight 4.  A non-finite value in any row
-    stops the whole stack.
+    The record array passes the size rule before the first step.  A
+    non-finite value in any row stops the whole stack.
     """
     if not starts:
         raise ValueError("evolve_many needs at least one initial state")
@@ -151,12 +138,9 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
 
-    n_steps, every = params.n_steps, params.record_every
+    record_steps = params.record_steps
     checked_size("record entries (starts x records x grid points)",
-                 len(starts) * (-(-n_steps // every) + 1) * grid.n,
-                 MAX_ENTRIES)
-    profile = weight_profile(measure)
-    record_steps = [*range(0, n_steps, every), n_steps]
+                 len(starts) * len(record_steps) * grid.n, MAX_ENTRIES)
     records = np.empty((len(starts), len(record_steps), grid.n),
                        dtype=np.complex128)
     v = np.array([psi0.values for psi0 in starts])
@@ -164,7 +148,7 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     np.fft.fft(v, axis=1, out=v)
     v *= half
     r = 1
-    for step in range(1, n_steps + 1):
+    for step in range(1, params.n_steps + 1):
         np.fft.ifft(v, axis=1, out=v)
         w = v[:, support]
         np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
@@ -179,15 +163,38 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
             r += 1
         v *= full
     records.setflags(write=False)
-    times = [step * dt for step in record_steps]
-    return [_trajectory(params, times, states, potential, measure, profile)
-            for states in records]
+    return records
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
            *, measure: AtomicMeasure) -> Trajectory:
-    """Single-start evolution: the B = 1 case of ``evolve_many``."""
-    return evolve_many([psi0], potential, params, measure=measure)[0]
+    """One run with its per-record diagnostics.
+
+    The weight profile of the measure passes the size rule before the first
+    step.  The weighted norm (and, when record_quartic is on, the quartic
+    measure integral) is recorded against the measure; an empty measure
+    gives the baseline weight 4.  A non-finite diagnostic raises
+    BlowUpError naming its column and its record's step; the quartic column
+    is NaN by design when record_quartic is off and is not checked.
+    """
+    profile = weight_profile(measure)
+    states = evolve_many([psi0], potential, params)[0]
+    fields = (WaveField(potential.grid, row) for row in states)
+    table = np.array([(mass(s), energy(s, potential), sobolev_norm(s, 1.0),
+                       weighted_l2_norm(s, profile), sup_norm(s),
+                       quartic_measure_integral(s, measure)
+                       if params.record_quartic else np.nan)
+                      for s in fields])
+    checked = table if params.record_quartic else table[:, :-1]
+    bad = np.argwhere(~np.isfinite(checked))
+    if len(bad):
+        r, c = bad[0]
+        step = int(params.record_steps[r])
+        raise BlowUpError(step, step * params.dt,
+                          f"recorded {DIAGNOSTIC_COLUMNS[c + 1]}")
+    return Trajectory(params, potential.grid, states,
+                      {"t": params.record_steps * params.dt,
+                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], table.T))})
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,

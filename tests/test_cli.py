@@ -152,7 +152,7 @@ def test_solve_reruns_byte_identical(tmp_path):
         (b / "diagnostics.csv").read_bytes()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run("sample", "--override", "measure=martian",
                "--out", str(tmp_path / "x")) == 2
     assert run("sample", "--override", "nope=1",
@@ -196,6 +196,13 @@ def test_exit_codes(tmp_path):
     assert run("sample", "--out", str(tmp_path / "x"), "--override",
                "measure=file", "--override",
                f"atoms_file={tmp_path / 'missing.json'}") == 2
+    # a start whose state stays finite but whose recorded diagnostics do not
+    capsys.readouterr()
+    for amplitude in ("1e150", "1e80"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("solve", "--out", str(tmp_path / "x"), "--override",
+                       f"amplitude={amplitude}") == 4, amplitude
+        assert "numerical failure" in capsys.readouterr().err, amplitude
 
 
 @pytest.mark.parametrize("command, pairs", [

@@ -65,3 +65,34 @@ def test_solver_targets_are_reached(monkeypatch):
     for attr in ("evolve", "truncated_potential", "weight_profile"):
         assert calls[attr] == 1, attr
     assert all(calls[attr] for _, attr in targets)
+
+
+def test_stability_study_targets_are_reached(monkeypatch):
+    """The tracer sees study-stability's record norms through the studies
+    module: one weight profile, one weighted norm per run and record, and
+    per record the H^1 norm of each run plus the H^-1 norm of each
+    forward and backward difference."""
+    tracer = _load_tracer()
+    from sprinkled_nls import studies
+    from sprinkled_nls.field import Grid, gaussian_field
+    from sprinkled_nls.point_process import AtomicMeasure
+    from sprinkled_nls.solver import SolverParams
+
+    calls = Counter()
+    for module_name, attr in (t for ts in tracer.LAYERS.values() for t in ts
+                              if t[0] == "studies"):
+        def counted(*args, _fn=getattr(studies, attr), _key=attr, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(studies, attr, counted)
+
+    grid = Grid(16.0, 512)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
+    deltas = (1e-2, 1e-3)
+    params = SolverParams(dt=1e-2, t_final=0.05, record_every=2)
+    studies.stability_study(gaussian_field(grid), mu, 0.2, deltas, params, 0)
+    records, runs = 4, 2 * (1 + len(deltas))  # records at steps 0, 2, 4, 5
+    assert calls["stability_study"] == 1
+    assert calls["weight_profile"] == 1
+    assert calls["weighted_l2_norm"] == runs * records
+    assert calls["sobolev_norm"] == (runs + 2 * len(deltas)) * records

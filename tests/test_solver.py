@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sprinkled_nls import rng, solver
+from sprinkled_nls import rng
 from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
 from sprinkled_nls.errors import (BlowUpError, ConfigError,
                                   OracleInstabilityError)
@@ -145,6 +145,7 @@ def test_record_array_rows(grid, n_steps, every, record_steps):
     every_step = evolve(psi0, pot, SolverParams(dt=1e-2,
                                                 t_final=n_steps * 1e-2,
                                                 record_every=1), measure=mu)
+    assert list(traj.params.record_steps) == record_steps
     assert traj.states.shape == (len(record_steps), grid.n)
     assert not traj.states.flags.writeable
     assert traj.grid == grid
@@ -215,6 +216,25 @@ def test_blow_up_reports_the_step_a_drifting_bump_overflows():
     assert info.value.step == 3
 
 
+def test_non_finite_diagnostic_is_a_blow_up(grid):
+    """A start whose state stays finite but whose |psi|^4 overflows records
+    a non-finite energy at step 0; the run raises BlowUpError naming the
+    column and the record's step instead of returning the value.  The same
+    holds with the quartic column off, which is NaN by design and not
+    checked."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.0]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    psi0 = gaussian_field(grid, amplitude=1e80)
+    for record_quartic in (True, False):
+        params = SolverParams(dt=1e-2, t_final=0.02,
+                              record_quartic=record_quartic)
+        with pytest.raises(BlowUpError,
+                           match=r"recorded energy at step 0 \(t = 0\)") \
+                as info, np.errstate(over="ignore", invalid="ignore"):
+            evolve(psi0, pot, params, measure=mu)
+        assert info.value.step == 0
+
+
 def four_fft_strang(psi0, potential, dt, record_steps):
     """The textbook Strang step L(dt/2) N(dt) L(dt/2), each free half step
     an FFT, a multiply and an IFFT; returns the states at record_steps."""
@@ -245,12 +265,11 @@ def test_fused_steps_match_the_four_fft_strang_step(grid, n_steps, every,
               *(random_field(grid, rng.generator(k)) for k in range(2))]
     params = SolverParams(dt=2e-3, t_final=n_steps * 2e-3,
                           record_every=every)
-    for psi0, traj in zip(starts, evolve_many(starts, pot, params,
-                                              measure=mu)):
-        np.testing.assert_array_equal(traj.states[0], psi0.values)
+    for psi0, states in zip(starts, evolve_many(starts, pot, params)):
+        np.testing.assert_array_equal(states[0], psi0.values)
         expect = four_fft_strang(psi0, pot, params.dt, record_steps)
-        assert traj.states.shape == expect.shape
-        for got, want in zip(traj.states, expect):
+        assert states.shape == expect.shape
+        for got, want in zip(states, expect):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -265,19 +284,18 @@ def test_transforms_per_call(grid, monkeypatch, n_starts):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    # the per-record diagnostics run their own transforms; count the kernel's
-    monkeypatch.setattr(solver, "_trajectory", lambda *args: None)
     mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
     pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
     n_steps, records = 10, 5  # records at steps 0, 3, 6, 9 and 10
-    evolve_many([gaussian_field(grid)] * n_starts, pot,
-                SolverParams(dt=1e-2, t_final=0.1, record_every=3),
-                measure=mu)
+    stack = evolve_many([gaussian_field(grid)] * n_starts, pot,
+                        SolverParams(dt=1e-2, t_final=0.1, record_every=3))
+    assert stack.shape == (n_starts, records, grid.n)
     assert counts["fft"] + counts["ifft"] == 1 + 2 * n_steps + (records - 1)
 
 
 def test_stack_rows_equal_single_runs_bit_for_bit():
-    """Each row of a stack is the same start run alone, to the last bit.
+    """Each row of a stack is the same start run alone, to the last bit:
+    each (R, N) block equals the states of ``evolve`` on its start.
 
     About 96 % of the grid is support, so the gathered (8, S) stack is over
     256 KiB: there numpy would elide the temporary of psi * phase and swap
@@ -289,32 +307,29 @@ def test_stack_rows_equal_single_runs_bit_for_bit():
     assert np.count_nonzero(pot.values) > 0.9 * grid.n
     starts = [random_field(grid, rng.generator(k)) for k in range(8)]
     params = SolverParams(dt=1e-3, t_final=0.01, record_every=5)
-    stacked = evolve_many(starts, pot, params, measure=mu)
-    assert len(stacked) == len(starts)
-    for psi0, row in zip(starts, stacked):
+    stacked = evolve_many(starts, pot, params)
+    assert stacked.shape[0] == len(starts)
+    assert not stacked.flags.writeable
+    for psi0, block in zip(starts, stacked):
         alone = evolve(psi0, pot, params, measure=mu)
-        np.testing.assert_array_equal(row.states, alone.states)
-        assert row.diagnostics.keys() == alone.diagnostics.keys()
-        for key, values in alone.diagnostics.items():
-            np.testing.assert_array_equal(row.diagnostics[key], values)
+        np.testing.assert_array_equal(block, alone.states)
 
 
 def test_evolve_many_input_checks(grid):
     params = SolverParams(dt=1e-2, t_final=0.02)
     with pytest.raises(ValueError, match="at least one"):
-        evolve_many([], zero_potential(grid), params, measure=no_atoms(grid))
+        evolve_many([], zero_potential(grid), params)
     other = gaussian_field(Grid(16.0, 256))
     with pytest.raises(ValueError, match="must share a grid"):
         evolve_many([gaussian_field(grid), other], zero_potential(grid),
-                    params, measure=no_atoms(grid))
+                    params)
 
 
 def test_blow_up_in_one_row_stops_the_stack(grid):
     bad = WaveField(grid, np.full(grid.n, np.nan, dtype=np.complex128))
     with pytest.raises(BlowUpError) as info:
         evolve_many([gaussian_field(grid), bad, gaussian_field(grid)],
-                    zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1),
-                    measure=no_atoms(grid))
+                    zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1))
     assert info.value.step == 1
 
 

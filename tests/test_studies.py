@@ -11,7 +11,7 @@ from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import substream_seed
 from sprinkled_nls.solver import SolverParams
-from sprinkled_nls import studies
+from sprinkled_nls import solver, studies
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
                                    laplace_study, moment_study,
                                    save_report_csv, save_report_json,
@@ -82,7 +82,7 @@ def test_eps_step_ceiling_checked_before_any_run(grid, unit_atom,
     def no_run(*args, **kwargs):
         raise AssertionError("a width ran before every width was checked")
 
-    monkeypatch.setattr(studies, "evolve_regularized", no_run)
+    monkeypatch.setattr(studies, "evolve_many", no_run)
     with pytest.raises(ConfigError, match=f"ceiling \\[0, {MAX_STEPS}\\]"):
         eps_convergence_study(gaussian_field(grid), unit_atom,
                               (1.0, 0.5, 0.25),
@@ -154,6 +154,22 @@ def test_stability_smoke_time_symmetric():
     assert rep.rates["max_over_min"] < 1.01
     assert rep.constants["stability_envelope_constant"] == \
         CALIBRATION["stability_envelope_constant"]
+
+
+def test_studies_compute_only_what_they_report(monkeypatch):
+    """The eps and stability studies report distances and H^1 x L^2_mu
+    sizes only; neither reaches the solver's other per-record
+    diagnostics."""
+    def unused(*args, **kwargs):
+        raise AssertionError("a study computed a diagnostic it never reports")
+
+    for name in ("mass", "energy", "sup_norm", "quartic_measure_integral"):
+        monkeypatch.setattr(solver, name, unused)
+    g = Grid(8.0, 1024)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.3]), np.array([1.0]))
+    params = SolverParams(dt=1e-3, t_final=0.02, record_every=10)
+    eps_convergence_study(gaussian_field(g), mu, (0.4, 0.2, 0.1), params)
+    stability_study(gaussian_field(g), mu, 0.2, (1e-2, 1e-3), params, 0)
 
 
 # name -> (sigma, center) of the moment study's three Gaussian fields
