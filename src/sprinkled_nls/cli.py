@@ -80,7 +80,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "record_quartic": ("bool", True, "record the quartic measure integral (solve)"),
     "snapshots": ("bool", False, "write binary state snapshots (solve)"),
     "study": ("choice:" + ",".join(STUDIES), "eps", "which study to run"),
-    "eps_ladder": ("floats", (1.0, 0.5, 0.25, 0.125), "strictly decreasing widths"),
+    "eps_ladder": ("floats", (1.0, 0.5, 0.25, 0.125),
+                   "widths, each exactly half the one before"),
     "deltas": ("floats", (1e-2, 1e-3, 1e-4), "perturbation sizes (stability)"),
     "n_samples": ("int", 0, "study sample count; 0 = per-study default"),
 }

@@ -37,14 +37,15 @@ start run alone bit for bit.
 Records land in one (B, R, N) array at ``SolverParams.record_steps``,
 allocated before the first step and read-only after the last; it is all the
 kernel returns.  ``evolve`` is the only code that builds a ``Trajectory``: it
-steps one start, then runs the diagnostics one record at a time on a
-short-lived ``WaveField`` of its row, whose cached spectrum serves all of
-that record's spectral diagnostics; a whole block at once would hold (R, N)
-temporaries per diagnostic, which costs more memory than it saves time.
+takes record 0's diagnostics from the start itself, steps it, then runs the
+diagnostics one record at a time on a short-lived ``WaveField`` of its row,
+whose cached spectrum serves all of that record's spectral diagnostics; a
+whole block at once would hold (R, N) temporaries per diagnostic, which
+costs more memory than it saves time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -83,6 +84,7 @@ class SolverParams:
     t_final: float
     record_every: int = 10
     record_quartic: bool = True
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
@@ -90,15 +92,12 @@ class SolverParams:
         if not self.dt <= self.t_final:
             raise ValueError("t_final must be at least dt")
         # a bounded step count also makes t_final finite
-        checked_size("step count t_final / dt",
-                     np.rint(self.t_final / self.dt), MAX_STEPS)
+        object.__setattr__(self, "n_steps", checked_size(
+            "step count t_final / dt", np.rint(self.t_final / self.dt),
+            MAX_STEPS))
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
 
     @property
     def record_steps(self) -> np.ndarray:
@@ -119,6 +118,21 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray]
 
 
+def _admitted_records(starts: Sequence[WaveField], potential: GriddedDensity,
+                      params: SolverParams) -> int:
+    """The record count R of a run, once its starts share the potential's
+    grid and its (B, R, N) record array passes the size rule; O(1), so
+    nothing is built for a run the rule refuses."""
+    if not starts:
+        raise ValueError("evolve_many needs at least one initial state")
+    if any(psi0.grid != potential.grid for psi0 in starts):
+        raise ValueError("potential and initial data must share a grid")
+    n_records = len(range(0, params.n_steps, params.record_every)) + 1
+    checked_size("record entries (starts x records x grid points)",
+                 len(starts) * n_records * potential.grid.n, MAX_ENTRIES)
+    return n_records
+
+
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
                 params: SolverParams) -> np.ndarray:
     """Strang-split evolution of a stack of initial states: the read-only
@@ -127,11 +141,8 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     The record array passes the size rule before the first step.  A
     non-finite value in any row stops the whole stack.
     """
-    if not starts:
-        raise ValueError("evolve_many needs at least one initial state")
+    n_records = _admitted_records(starts, potential, params)
     grid = potential.grid
-    if any(psi0.grid != grid for psi0 in starts):
-        raise ValueError("potential and initial data must share a grid")
     dt = params.dt
     half = np.exp(-0.5j * dt * grid.xi**2)
     full = np.exp(-1j * dt * grid.xi**2)
@@ -139,10 +150,7 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     kick = -2j * dt * potential.values[support]
 
     record_steps = params.record_steps
-    checked_size("record entries (starts x records x grid points)",
-                 len(starts) * len(record_steps) * grid.n, MAX_ENTRIES)
-    records = np.empty((len(starts), len(record_steps), grid.n),
-                       dtype=np.complex128)
+    records = np.empty((len(starts), n_records, grid.n), dtype=np.complex128)
     v = np.array([psi0.values for psi0 in starts])
     records[:, 0] = v
     np.fft.fft(v, axis=1, out=v)
@@ -175,23 +183,39 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     measure integral) is recorded against the measure; an empty measure
     gives the baseline weight 4.  A non-finite diagnostic raises
     BlowUpError naming its column and its record's step; the quartic column
-    is NaN by design when record_quartic is off and is not checked.
+    is NaN by design when record_quartic is off and is not checked.  Record
+    0 is psi0 itself, so a start of finite mass has its row taken and
+    checked once the run is admitted and before the first step.
     """
     profile = weight_profile(measure)
+    _admitted_records([psi0], potential, params)
+
+    def row(s: WaveField) -> tuple:
+        # a non-finite value is reported as BlowUpError, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
+                    weighted_l2_norm(s, profile), sup_norm(s),
+                    quartic_measure_integral(s, measure)
+                    if params.record_quartic else np.nan)
+
+    def check(table: np.ndarray) -> None:
+        checked = table if params.record_quartic else table[:, :-1]
+        bad = np.argwhere(~np.isfinite(checked))
+        if len(bad):
+            r, c = bad[0]
+            step = int(params.record_steps[r])
+            raise BlowUpError(step, step * params.dt,
+                              f"recorded {DIAGNOSTIC_COLUMNS[c + 1]}")
+
+    start = row(WaveField(potential.grid, psi0.values))
+    # the kick squares |psi| as the mass does: a start whose mass is not
+    # finite steps first, so that the kernel names the step the kick fails
+    if np.isfinite(start[0]):
+        check(np.array([start]))
     states = evolve_many([psi0], potential, params)[0]
-    fields = (WaveField(potential.grid, row) for row in states)
-    table = np.array([(mass(s), energy(s, potential), sobolev_norm(s, 1.0),
-                       weighted_l2_norm(s, profile), sup_norm(s),
-                       quartic_measure_integral(s, measure)
-                       if params.record_quartic else np.nan)
-                      for s in fields])
-    checked = table if params.record_quartic else table[:, :-1]
-    bad = np.argwhere(~np.isfinite(checked))
-    if len(bad):
-        r, c = bad[0]
-        step = int(params.record_steps[r])
-        raise BlowUpError(step, step * params.dt,
-                          f"recorded {DIAGNOSTIC_COLUMNS[c + 1]}")
+    table = np.array([start] + [row(WaveField(potential.grid, s))
+                                for s in states[1:]])
+    check(table)
     return Trajectory(params, potential.grid, states,
                       {"t": params.record_steps * params.dt,
                        **dict(zip(DIAGNOSTIC_COLUMNS[1:], table.T))})

@@ -19,7 +19,7 @@ from .errors import MAX_ENTRIES, ConfigError, checked_size
 from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
                     random_field, sobolev_norm)
 from .measure import weight_profile, weighted_l2_norm
-from .mollify import check_resolution, truncated_potential
+from .mollify import truncated_potential
 from .payload import write_csv, write_json
 from .point_process import (AtomicMeasure, PoissonBatch,
                             bernoulli_laplace_functional,
@@ -110,12 +110,13 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
                           variant: str = "mollified_only") -> StudyReport:
     """Self-convergence in the smoothing width.
 
-    For each value eps of a halving ladder (at least three entries) the study
-    solves at eps and eps/2 and records D(eps) = sup over record times of the
-    H^1 + weighted-L^2 distance between the two runs.  Consecutive pairs
-    share solves, so a ladder of length m costs m + 1 runs.  Flags: D
-    strictly decreasing along the ladder, and the last value below half the
-    first.
+    For each value eps of a halving ladder (at least three entries, each
+    exactly half the one before) the study solves at eps and eps/2 and
+    records D(eps) = sup over record times of the H^1 + weighted-L^2
+    distance between the two runs.  Consecutive pairs share solves, so a
+    ladder of length m costs exactly m + 1 runs, stepped coarse to fine with
+    at most two held.  Flags: D strictly decreasing along the ladder, and the
+    last value below half the first.
 
     The splitting error grows steeply as the potential sharpens (empirically
     like dt^2 * eps^-2.2), so a uniform step would either drown the fine-eps
@@ -128,41 +129,38 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 3:
         raise ConfigError("eps ladder needs at least three values")
-    if any(abs(b - a / 2) > 1e-9 * a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("eps ladder must halve at every step")
-    solve_eps = sorted({e for e in ladder} | {e / 2 for e in ladder}, reverse=True)
-    for eps in solve_eps:
-        check_resolution(psi0.grid, eps)
-    profile = weight_profile(mu)
+    if any(b != a / 2 for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("each eps rung must be exactly half the one before")
+    widths = ladder + [ladder[-1] / 2]
 
     rec_interval = params.record_every * params.dt
     n_intervals = params.t_final / rec_interval
     if abs(n_intervals - round(n_intervals)) > 1e-9:
         raise ConfigError("t_final must be a multiple of record_every * dt "
                           "so all runs record at common times")
-    eps_max = solve_eps[0]
 
     def params_at(eps: float) -> SolverParams:
         substeps = int(np.ceil(params.record_every
-                               * (eps_max / eps) ** EPS_DT_POWER - 1e-9))
+                               * (widths[0] / eps) ** EPS_DT_POWER - 1e-9))
         return SolverParams(dt=rec_interval / substeps,
                             t_final=params.t_final, record_every=substeps)
 
-    # every width's step count passes its rule before any width runs
-    per_width = {eps: params_at(eps) for eps in solve_eps}
-    runs = {eps: evolve_many(
-                [psi0], truncated_potential(mu, psi0.grid, eps, variant), p)[0]
-            for eps, p in per_width.items()}
+    # every width meets every rule before any width steps
+    setups = [(truncated_potential(mu, psi0.grid, eps, variant), params_at(eps))
+              for eps in widths]
+    profile = weight_profile(mu)
 
+    runs = (evolve_many([psi0], potential, p)[0] for potential, p in setups)
+    coarse = next(runs)
     d_h1, d_l2mu, d_sum = [], [], []
-    for eps in ladder:
-        coarse, fine = runs[eps], runs[eps / 2]
+    for fine in runs:
         diffs = (WaveField(psi0.grid, d) for d in coarse - fine)
         h1s, l2s = np.array([(sobolev_norm(d, 1.0),
                               weighted_l2_norm(d, profile)) for d in diffs]).T
         d_h1.append(float(np.max(h1s)))
         d_l2mu.append(float(np.max(l2s)))
         d_sum.append(float(np.max(h1s + l2s)))
+        coarse = fine
 
     ratios = [float("nan")] + [d_sum[i] / d_sum[i - 1] for i in range(1, len(d_sum))]
     flags = {
@@ -177,7 +175,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     return StudyReport(
         "eps_convergence",
         {"variant": variant, "dt_coarsest": params.dt,
-         "dt_finest": per_width[solve_eps[-1]].dt, "dt_power": EPS_DT_POWER,
+         "dt_finest": setups[-1][1].dt, "dt_power": EPS_DT_POWER,
          "t_final": params.t_final, "grid_n": psi0.grid.n,
          "half_length": psi0.grid.half_length,
          "atom_count": mu.count},

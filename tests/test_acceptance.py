@@ -89,10 +89,12 @@ def test_criterion_02_mass_and_energy_conservation():
           f"max mass drift {max(drifts):.2e}, energy halving factors "
           + " ".join(f"{f:.2f}" for f in factors) + f", {elapsed:.1f}s")
     assert ok, (
-        "energy wobble at dt = 1e-3 with eps = 0.1 sits in the splitting's "
-        "saturated band, not the dt^2 regime; the independent integrator "
-        "conserves energy to 1e-8 here and the 4x law holds once dt <= "
-        f"1.25e-4.  factors: {[f'{f:.2f}' for f in factors]}")
+        "energy wobble at dt = 1e-3 with eps = 0.1 is step-size resonance: "
+        "on this grid dt * xi_N^2 / 2pi = 6.43, so a mode with dt * xi^2 = "
+        "2pi m sees an identity free flight and its kicks add up; no mode "
+        "resonates once dt < 2pi / xi_N^2 = 1.55e-4, and the 4x law holds "
+        "from dt <= 1.25e-4.  The independent integrator conserves energy to "
+        f"1e-8 here.  factors: {[f'{f:.2f}' for f in factors]}")
 
 
 def test_criterion_03_free_gaussian_closed_form():

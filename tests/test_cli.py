@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sprinkled_nls import cli
+from sprinkled_nls import cli, solver
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import MAX_ENTRIES, MAX_STEPS, ConfigError
@@ -199,10 +199,27 @@ def test_exit_codes(tmp_path, capsys):
     # a start whose state stays finite but whose recorded diagnostics do not
     capsys.readouterr()
     for amplitude in ("1e150", "1e80"):
-        with np.errstate(over="ignore", invalid="ignore"):
+        assert run("solve", "--out", str(tmp_path / "x"), "--override",
+                   f"amplitude={amplitude}") == 4, amplitude
+        assert "numerical failure" in capsys.readouterr().err, amplitude
+
+
+def test_non_finite_start_record_exits_before_stepping(tmp_path, capsys,
+                                                       monkeypatch):
+    """A start whose |psi|^4 overflows fails on its own record 0: the run
+    exits 4 before the first step, and the overflow raises no warning."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped a start whose record 0 is non-finite")
+
+    monkeypatch.setattr(solver, "evolve_many", no_run)
+    capsys.readouterr()
+    for amplitude in ("1e150", "1e80"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run("solve", "--out", str(tmp_path / "x"), "--override",
                        f"amplitude={amplitude}") == 4, amplitude
-        assert "numerical failure" in capsys.readouterr().err, amplitude
+        assert ("numerical failure: non-finite recorded energy at step 0"
+                in capsys.readouterr().err), amplitude
 
 
 @pytest.mark.parametrize("command, pairs", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,22 @@ def test_size_rule_runs_before_the_first_step(grid, monkeypatch):
     with pytest.raises(ConfigError, match="interval table"):
         evolve(psi0, potential, SolverParams(dt=1e-2, t_final=0.1),
                measure=huge)
+
+
+def test_refused_record_array_builds_nothing():
+    """The size rule admits the record array from its record count, so a
+    refused run of 1e7 steps allocates no record schedule (152.7 MiB of
+    step indices if it did) before the refusal."""
+    grid = Grid(16.0, 512)
+    params = SolverParams(dt=1e-7, t_final=1.0, record_every=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="record entries"):
+            evolve_many([gaussian_field(grid)], zero_potential(grid), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_zero_potential_matches_free_propagator(grid):

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +75,46 @@ def test_eps_ladder_validation(grid):
     # every solve width is checked before the first solve
     with pytest.raises(ConfigError):
         eps_convergence_study(psi0, mu, (0.8, 0.4, float("nan")), params)
+
+
+def test_eps_ladder_halves_exactly(unit_atom, monkeypatch):
+    """A rung off exact halving by 1e-12 is refused before any width runs,
+    on a grid that resolves every width such a ladder would solve."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a width ran on a ladder that does not halve")
+
+    monkeypatch.setattr(studies, "evolve_many", no_run)
+    with pytest.raises(ConfigError, match="exactly half"):
+        eps_convergence_study(gaussian_field(Grid(8.0, 1024)), unit_atom,
+                              (0.4, 0.2 + 1e-12, 0.1),
+                              SolverParams(dt=1e-3, t_final=0.05,
+                                           record_every=10))
+
+
+def test_eps_study_runs_each_width_once_holding_two(monkeypatch):
+    """A ladder of m rungs makes exactly m + 1 runs, coarse to fine, and
+    each run's records are dropped once the next width has been compared
+    with it: at every run at most one earlier run is still alive."""
+    alive_at_call, results, dts = [], [], []
+
+    def tracked(starts, potential, params):
+        dts.append(params.dt)
+        gc.collect()
+        alive_at_call.append(sum(r() is not None for r in results))
+        out = solver.evolve_many(starts, potential, params)
+        results.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(studies, "evolve_many", tracked)
+    g = Grid(8.0, 1024)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.3]), np.array([1.0]))
+    rep = eps_convergence_study(
+        gaussian_field(g), mu, (0.4, 0.2, 0.1),
+        SolverParams(dt=1e-3, t_final=0.05, record_every=10))
+    assert len(alive_at_call) == 4
+    assert dts == sorted(dts, reverse=True)
+    assert max(alive_at_call) <= 1
+    assert rep.passed()
 
 
 def test_eps_step_ceiling_checked_before_any_run(grid, unit_atom,
