@@ -14,11 +14,7 @@ MAX_STEPS = 10**7
 MAX_ENTRIES = 2**27
 
 
-class SprinkledNLSError(Exception):
-    """Base class for package errors."""
-
-
-class ConfigError(SprinkledNLSError, ValueError):
+class ConfigError(ValueError):
     """Invalid configuration file, key, or value, a smoothing width outside
     (0, 1], a window outside -2**52 <= lo < hi <= 2**52, a Poisson
     intensity that is not finite and positive, a size past its ceiling
@@ -37,11 +33,11 @@ def checked_size(what: str, n, ceiling: int) -> int:
     return int(n)
 
 
-class ResolutionError(SprinkledNLSError):
+class ResolutionError(Exception):
     """Grid too coarse to represent the requested mollification width."""
 
 
-class BlowUpError(SprinkledNLSError):
+class BlowUpError(Exception):
     """Non-finite values appeared during time stepping, or in a run's
     recorded diagnostics."""
 
@@ -51,5 +47,5 @@ class BlowUpError(SprinkledNLSError):
         super().__init__(f"non-finite {what} at step {step} (t = {time:.6g})")
 
 
-class OracleInstabilityError(SprinkledNLSError):
+class OracleInstabilityError(Exception):
     """Reference integrator norm grew beyond its stability tolerance."""

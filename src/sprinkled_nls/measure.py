@@ -135,14 +135,11 @@ def _envelope(masses: np.ndarray) -> np.ndarray:
     """max_l (m_l^2 - |k - l|) along each row of a (B, K) mass table."""
     g = masses**2
     top = g.max(initial=0.0)
-    s = 1
-    while s < g.shape[1] and s <= top:
-        np.maximum(g[:, s:], g[:, :-s] - s, out=g[:, s:])
-        s *= 2
-    s = 1
-    while s < g.shape[1] and s <= top:
-        np.maximum(g[:, :-s], g[:, s:] - s, out=g[:, :-s])
-        s *= 2
+    for h in (g, g[:, ::-1]):  # a left-to-right sweep, then right-to-left
+        s = 1
+        while s < h.shape[1] and s <= top:
+            np.maximum(h[:, s:], h[:, :-s] - s, out=h[:, s:])
+            s *= 2
     return g
 
 

@@ -276,13 +276,12 @@ def _piecewise_trapezoid(fn, lo: float, hi: float, breakpoints) -> float:
     return float(total)
 
 
-def poisson_laplace_functional(phi: TestFunction,
-                               intensity: float = 1.0) -> float:
-    """Closed form exp(-intensity * integral (1 - e^-phi) dx)."""
+def poisson_laplace_functional(phi: TestFunction) -> float:
+    """Closed form exp(-integral (1 - e^-phi) dx) for unit intensity."""
     lo, hi = phi.support
     integral = _piecewise_trapezoid(lambda x: 1.0 - np.exp(-phi(x)),
                                     lo, hi, phi.breakpoints)
-    return float(np.exp(-intensity * integral))
+    return float(np.exp(-integral))
 
 
 def bernoulli_laplace_functional(phi: TestFunction, spacing: float,

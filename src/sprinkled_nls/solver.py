@@ -36,12 +36,11 @@ start run alone bit for bit.
 
 Records land in one (B, R, N) array at ``SolverParams.record_steps``,
 allocated before the first step and read-only after the last; it is all the
-kernel returns.  ``evolve`` is the only code that builds a ``Trajectory``: it
-takes record 0's diagnostics from the start itself, steps it, then runs the
-diagnostics one record at a time on a short-lived ``WaveField`` of its row,
-whose cached spectrum serves all of that record's spectral diagnostics; a
-whole block at once would hold (R, N) temporaries per diagnostic, which
-costs more memory than it saves time.
+kernel returns.  ``evolve``, the only code that builds a ``Trajectory``,
+takes and checks (``check_record``) the diagnostics record by record, record
+0 before the first step, on a short-lived ``WaveField`` whose cached spectrum
+serves them all: a whole block at once would hold (R, N) temporaries per
+diagnostic, which costs more memory than it saves time.
 """
 from __future__ import annotations
 
@@ -133,6 +132,13 @@ def _admitted_records(starts: Sequence[WaveField], potential: GriddedDensity,
     return n_records
 
 
+def check_record(step: int, dt: float, names: Sequence[str], values) -> None:
+    """The one per-record rule: BlowUpError at the first non-finite value."""
+    for name, value in zip(names, values):
+        if not np.isfinite(value).all():
+            raise BlowUpError(step, step * dt, f"recorded {name}")
+
+
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
                 params: SolverParams) -> np.ndarray:
     """Strang-split evolution of a stack of initial states: the read-only
@@ -181,44 +187,30 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     The weight profile of the measure passes the size rule before the first
     step.  The weighted norm (and, when record_quartic is on, the quartic
     measure integral) is recorded against the measure; an empty measure
-    gives the baseline weight 4.  A non-finite diagnostic raises
-    BlowUpError naming its column and its record's step; the quartic column
-    is NaN by design when record_quartic is off and is not checked.  Record
-    0 is psi0 itself, so a start of finite mass has its row taken and
-    checked once the run is admitted and before the first step.
+    gives the baseline weight 4.  Each row passes ``check_record`` as it is
+    computed, record 0 before the first step; the quartic column is NaN and
+    unchecked when record_quartic is off.
     """
     profile = weight_profile(measure)
     _admitted_records([psi0], potential, params)
+    checked = DIAGNOSTIC_COLUMNS[1:None if params.record_quartic else -1]
 
-    def row(s: WaveField) -> tuple:
-        # a non-finite value is reported as BlowUpError, not as a warning
+    def row(step, state: np.ndarray) -> tuple:
+        s = WaveField(potential.grid, state)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
-                    weighted_l2_norm(s, profile), sup_norm(s),
-                    quartic_measure_integral(s, measure)
-                    if params.record_quartic else np.nan)
+            values = (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
+                      weighted_l2_norm(s, profile), sup_norm(s),
+                      quartic_measure_integral(s, measure)
+                      if params.record_quartic else np.nan)
+        check_record(int(step), params.dt, checked, values)
+        return values
 
-    def check(table: np.ndarray) -> None:
-        checked = table if params.record_quartic else table[:, :-1]
-        bad = np.argwhere(~np.isfinite(checked))
-        if len(bad):
-            r, c = bad[0]
-            step = int(params.record_steps[r])
-            raise BlowUpError(step, step * params.dt,
-                              f"recorded {DIAGNOSTIC_COLUMNS[c + 1]}")
-
-    start = row(WaveField(potential.grid, psi0.values))
-    # the kick squares |psi| as the mass does: a start whose mass is not
-    # finite steps first, so that the kernel names the step the kick fails
-    if np.isfinite(start[0]):
-        check(np.array([start]))
+    rows = [row(0, psi0.values)]
     states = evolve_many([psi0], potential, params)[0]
-    table = np.array([start] + [row(WaveField(potential.grid, s))
-                                for s in states[1:]])
-    check(table)
+    rows += map(row, params.record_steps[1:], states[1:])
     return Trajectory(params, potential.grid, states,
                       {"t": params.record_steps * params.dt,
-                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], table.T))})
+                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))})
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,

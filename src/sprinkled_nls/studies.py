@@ -4,7 +4,8 @@ Each study returns a StudyReport: a small table (one row per parameter
 value), fitted rates where a rate makes sense, and named pass/fail flags.
 Reports serialize to CSV (the table) and JSON (everything).  The study
 functions validate their own inputs and raise ConfigError (a ValueError) for
-a bad one, which the CLI reports as a configuration problem.
+a bad one, which the CLI reports as a configuration problem.  The stepped
+studies pass each record's norms through the solver's ``check_record``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .point_process import (AtomicMeasure, PoissonBatch,
                             fixed_count_laplace_functional,
                             poisson_laplace_functional, sample_poisson,
                             smoothed_indicator)
-from .solver import SolverParams, evolve_many
+from .solver import SolverParams, check_record, evolve_many
 
 __all__ = [
     "poisson_sweep",
@@ -154,9 +155,14 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     coarse = next(runs)
     d_h1, d_l2mu, d_sum = [], [], []
     for fine in runs:
-        diffs = (WaveField(psi0.grid, d) for d in coarse - fine)
-        h1s, l2s = np.array([(sobolev_norm(d, 1.0),
-                              weighted_l2_norm(d, profile)) for d in diffs]).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = (WaveField(psi0.grid, d) for d in coarse - fine)
+            h1s, l2s = np.array([(sobolev_norm(d, 1.0),
+                                  weighted_l2_norm(d, profile))
+                                 for d in diffs]).T
+        for step, h1, l2 in zip(params.record_steps, h1s, l2s):
+            check_record(int(step), params.dt,
+                         ("H^1 distance", "L^2_mu distance"), (h1, l2))
         d_h1.append(float(np.max(h1s)))
         d_l2mu.append(float(np.max(l2s)))
         d_sum.append(float(np.max(h1s + l2s)))
@@ -218,25 +224,32 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     runs = evolve_many([WaveField(psi0.grid, v)
                         for v in starts + [np.conj(v) for v in starts]],
                        potential, params)
-    # ||psi||_{H^1} ||psi||_{L^2_mu} of every run at every record
-    sizes = np.array([[sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
-                       for f in (WaveField(psi0.grid, s) for s in states)]
-                      for states in runs])
+    n = len(starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ||psi||_{H^1} ||psi||_{L^2_mu} of every run at every record
+        sizes = np.array([[sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
+                           for f in (WaveField(psi0.grid, s) for s in states)]
+                          for states in runs])
+        # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
+        # backward pair, at every record
+        diffs = np.array([[[sobolev_norm(WaveField(psi0.grid, d), -1.0)
+                            for d in runs[base] - runs[base + idx]]
+                           for base in (0, n)] for idx in range(1, n)])
+    for r, step in enumerate(params.record_steps):
+        check_record(int(step), params.dt,
+                     ("H^1 x L^2_mu size", "H^-1 difference"),
+                     (sizes[:, r], diffs[..., r]))
 
     t_final = params.n_steps * params.dt
     r_vals, k_vals, env_vals = [], [], []
     for idx, delta in enumerate(deltas, start=1):
-        sup_diff = k = 0.0
-        # the forward pair, then the backward pair
-        for base, row in ((0, idx), (len(starts), len(starts) + idx)):
-            diffs = [sobolev_norm(WaveField(psi0.grid, d), -1.0)
-                     for d in runs[base] - runs[row]]
-            sup_diff = max(sup_diff, float(np.max(diffs)))
-            k = max(k, float(np.max(sizes[base] + sizes[row])))
-        r_vals.append(sup_diff / delta)
+        k = float(np.max(sizes[[0, n]] + sizes[[idx, n + idx]]))
+        r_vals.append(float(np.max(diffs[idx - 1])) / delta)
         k_vals.append(k)
-        # capped exponent: the flag compares against a finite ceiling
-        exponent = min(c_env * k**2 * (1 + k**2) * t_final**2, 700.0)
+        # capped exponent: the flag compares against a finite ceiling; K
+        # past 1e100 saturates it (k**2 of a larger float would overflow)
+        kc = min(k, 1e100)
+        exponent = min(c_env * kc**2 * (1 + kc**2) * t_final**2, 700.0)
         env_vals.append(c_env * float(np.exp(exponent)))
 
     flags = {

@@ -206,20 +206,44 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_non_finite_start_record_exits_before_stepping(tmp_path, capsys,
                                                        monkeypatch):
-    """A start whose |psi|^4 overflows fails on its own record 0: the run
-    exits 4 before the first step, and the overflow raises no warning."""
+    """A start whose |psi|^4 overflows, or whose |psi|^2 does off the
+    potential's support, fails on its own record 0: the run exits 4 before
+    the first step, and the overflow raises no warning."""
     def no_run(*args, **kwargs):
         raise AssertionError("stepped a start whose record 0 is non-finite")
 
     monkeypatch.setattr(solver, "evolve_many", no_run)
     capsys.readouterr()
-    for amplitude in ("1e150", "1e80"):
+    for pairs, column in ((["amplitude=1e150"], "energy"),
+                          (["amplitude=1e80"], "energy"),
+                          (["center=-10", "amplitude=2e154"], "mass")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run("solve", "--out", str(tmp_path / "x"), "--override",
-                       f"amplitude={amplitude}") == 4, amplitude
-        assert ("numerical failure: non-finite recorded energy at step 0"
-                in capsys.readouterr().err), amplitude
+            assert run("solve", "--out", str(tmp_path / "x"),
+                       *overrides(*pairs)) == 4, pairs
+        assert (f"numerical failure: non-finite recorded {column} at step 0"
+                in capsys.readouterr().err), pairs
+
+
+@pytest.mark.parametrize("pairs, code, message", [
+    (["study=stability", "amplitude=1e150"], 4,
+     "non-finite recorded H^1 x L^2_mu size at step 10 (t = 0.01)"),
+    (["study=eps", "eps_ladder=0.4,0.2,0.1", "amplitude=1e150"], 4,
+     "non-finite recorded H^1 distance at step 10 (t = 0.01)"),
+    # K near 1e160: the envelope's exponent saturates instead of overflowing
+    (["study=stability", "amplitude=1e80"], 0, None)],
+    ids=["stability-non-finite", "eps-non-finite", "stability-huge-k"])
+def test_stepped_study_checks_each_record(tmp_path, capsys, pairs, code,
+                                          message):
+    """A stepped study applies the solver's per-record check to the norms
+    it records, so a non-finite one exits 4 without a warning, and a huge
+    finite K still gives a finite envelope."""
+    assert run("study", "--out", str(tmp_path / "x"),
+               *overrides("t_final=0.1", *pairs)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if message is not None:
+        assert f"numerical failure: {message}" in err
 
 
 @pytest.mark.parametrize("command, pairs", [

@@ -209,8 +209,8 @@ def test_quartic_recording_toggle(grid):
 def test_blow_up_detected(grid):
     bad = WaveField(grid, np.full(grid.n, np.nan, dtype=np.complex128))
     with pytest.raises(BlowUpError) as info:
-        evolve(bad, zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1),
-               measure=no_atoms(grid))
+        evolve_many([bad], zero_potential(grid),
+                    SolverParams(dt=1e-2, t_final=0.1))
     assert info.value.step == 1
 
 
@@ -230,7 +230,7 @@ def test_blow_up_reports_the_step_a_drifting_bump_overflows():
     psi0 = WaveField(grid, bump.values * np.exp(40j * grid.x))
     with pytest.raises(BlowUpError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
-        evolve(psi0, pot, SolverParams(dt=0.1, t_final=1.0), measure=mu)
+        evolve_many([psi0], pot, SolverParams(dt=0.1, t_final=1.0))
     assert info.value.step == 3
 
 
