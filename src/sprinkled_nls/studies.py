@@ -203,9 +203,12 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     phi).  The potential is real, so evolving the conjugate data forward
     traces the conjugate of the backward orbit and every norm involved is
     conjugation invariant; that covers negative times with a forward solver.
-    All 2 (1 + #deltas) runs share one potential and one step, so they
-    advance as one stack through ``evolve_many``; K's norms are taken once
-    per row and record, and nothing else is computed on the records.
+    The runs share one potential and one step, so they advance as one stack
+    through ``evolve_many``: all 2 (1 + #deltas) of them for a complex
+    psi0, one fewer for a real psi0, whose conjugate is psi0 itself and
+    whose backward base run is therefore the forward one.  K's norms are
+    taken once per stepped row and record, and nothing else is computed on
+    the records.
 
     Flags: R varies by less than a factor of two across deltas, and every R
     stays below C * exp(C * K^2 (1 + K^2) * T^2) at the frozen C.
@@ -219,17 +222,26 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     c_env = CALIBRATION["stability_envelope_constant"]
 
     starts = [psi0.values] + [psi0.values + d * g.values for d in deltas]
+    conjugates = [np.conj(v) for v in starts]
+    real = np.array_equal(psi0.values, conjugates[0])
     potential = truncated_potential(mu, psi0.grid, eps, variant)
     profile = weight_profile(mu)
-    runs = evolve_many([WaveField(psi0.grid, v)
-                        for v in starts + [np.conj(v) for v in starts]],
-                       potential, params)
+    stepped = evolve_many([WaveField(psi0.grid, v)
+                           for v in starts + conjugates[1 if real else 0:]],
+                          potential, params)
     n = len(starts)
+    # runs[i] is stepped row rows[i]: the n forward runs, then the n
+    # backward ones, whose base is the forward base's row for a real psi0
+    rows = list(range(len(stepped)))
+    if real:
+        rows.insert(n, 0)
+    runs = [stepped[i] for i in rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        # ||psi||_{H^1} ||psi||_{L^2_mu} of every run at every record
+        # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row at every
+        # record, read for every run through rows
         sizes = np.array([[sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
                            for f in (WaveField(psi0.grid, s) for s in states)]
-                          for states in runs])
+                          for states in stepped])[rows]
         # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
         # backward pair, at every record
         diffs = np.array([[[sobolev_norm(WaveField(psi0.grid, d), -1.0)

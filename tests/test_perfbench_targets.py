@@ -69,12 +69,13 @@ def test_solver_targets_are_reached(monkeypatch):
 
 def test_stability_study_targets_are_reached(monkeypatch):
     """The tracer sees study-stability's record norms through the studies
-    module: one weight profile, one weighted norm per run and record, and
-    per record the H^1 norm of each run plus the H^-1 norm of each
-    forward and backward difference."""
+    module: one weight profile, one weighted norm per stepped run and
+    record, and per record the H^1 norm of each stepped run plus the H^-1
+    norm of each forward and backward difference.  A real start steps its
+    base run once, so it has one stepped run fewer than a complex one."""
     tracer = _load_tracer()
     from sprinkled_nls import studies
-    from sprinkled_nls.field import Grid, gaussian_field
+    from sprinkled_nls.field import Grid, WaveField, gaussian_field
     from sprinkled_nls.point_process import AtomicMeasure
     from sprinkled_nls.solver import SolverParams
 
@@ -90,9 +91,14 @@ def test_stability_study_targets_are_reached(monkeypatch):
     mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
     deltas = (1e-2, 1e-3)
     params = SolverParams(dt=1e-2, t_final=0.05, record_every=2)
-    studies.stability_study(gaussian_field(grid), mu, 0.2, deltas, params, 0)
-    records, runs = 4, 2 * (1 + len(deltas))  # records at steps 0, 2, 4, 5
-    assert calls["stability_study"] == 1
-    assert calls["weight_profile"] == 1
-    assert calls["weighted_l2_norm"] == runs * records
-    assert calls["sobolev_norm"] == (runs + 2 * len(deltas)) * records
+    real = gaussian_field(grid)
+    complex_start = WaveField(grid, real.values * np.exp(1j * grid.x))
+    records = 4  # records at steps 0, 2, 4, 5
+    for psi0, runs in ((real, 2 * (1 + len(deltas)) - 1),
+                       (complex_start, 2 * (1 + len(deltas)))):
+        calls.clear()
+        studies.stability_study(psi0, mu, 0.2, deltas, params, 0)
+        assert calls["stability_study"] == 1
+        assert calls["weight_profile"] == 1
+        assert calls["weighted_l2_norm"] == runs * records
+        assert calls["sobolev_norm"] == (runs + 2 * len(deltas)) * records

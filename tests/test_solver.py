@@ -206,14 +206,6 @@ def test_quartic_recording_toggle(grid):
     assert np.all(np.isnan(off.diagnostics["quartic"]))
 
 
-def test_blow_up_detected(grid):
-    bad = WaveField(grid, np.full(grid.n, np.nan, dtype=np.complex128))
-    with pytest.raises(BlowUpError) as info:
-        evolve_many([bad], zero_potential(grid),
-                    SolverParams(dt=1e-2, t_final=0.1))
-    assert info.value.step == 1
-
-
 def test_blow_up_reports_the_step_a_drifting_bump_overflows():
     """A bump too large to square drifts onto the support of V: the first
     non-finite value is the kick's |psi|^2 at step 3, not at the start.
@@ -343,11 +335,16 @@ def test_evolve_many_input_checks(grid):
                     params)
 
 
-def test_blow_up_in_one_row_stops_the_stack(grid):
+@pytest.mark.parametrize("n_finite", [0, 1], ids=["alone", "between_finite"])
+def test_blow_up_in_one_row_stops_the_stack(grid, n_finite):
+    """An all-NaN row, alone or with a finite row on each side, stops the
+    stack at step 1."""
     bad = WaveField(grid, np.full(grid.n, np.nan, dtype=np.complex128))
+    finite = [gaussian_field(grid)] * n_finite
+    starts = finite + [bad] + finite
     with pytest.raises(BlowUpError) as info:
-        evolve_many([gaussian_field(grid), bad, gaussian_field(grid)],
-                    zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1))
+        evolve_many(starts, zero_potential(grid),
+                    SolverParams(dt=1e-2, t_final=0.1))
     assert info.value.step == 1
 
 

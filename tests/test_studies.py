@@ -8,10 +8,12 @@ import pytest
 
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.errors import MAX_STEPS, ConfigError
-from sprinkled_nls.field import Grid, gaussian_field, hat_moments
+from sprinkled_nls.field import (Grid, WaveField, gaussian_field, hat_moments,
+                                 random_field, sobolev_norm)
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
+from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
-from sprinkled_nls.rng import substream_seed
+from sprinkled_nls.rng import generator, substream_seed
 from sprinkled_nls.solver import SolverParams
 from sprinkled_nls import solver, studies
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
@@ -196,6 +198,68 @@ def test_stability_smoke_time_symmetric():
     assert rep.rates["max_over_min"] < 1.01
     assert rep.constants["stability_envelope_constant"] == \
         CALIBRATION["stability_envelope_constant"]
+
+
+STABILITY_PARAMS = SolverParams(dt=1e-2, t_final=0.1, record_every=5)
+
+
+def test_real_start_and_its_conjugate_step_to_the_same_rows(grid, unit_atom):
+    """Why the stability study steps a real start's base run once: the
+    stack steps a real start and its conjugate to equal rows, bit for bit."""
+    psi0 = gaussian_field(grid)
+    pot = truncated_potential(unit_atom, grid, 0.2, "fully_truncated")
+    rows = solver.evolve_many([psi0, WaveField(grid, np.conj(psi0.values))],
+                              pot, STABILITY_PARAMS)
+    np.testing.assert_array_equal(rows[0], rows[1])
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_stability_steps_each_distinct_start_once(grid, unit_atom,
+                                                  monkeypatch, is_complex):
+    """With two deltas there are n = 3 starts per time direction: a real
+    psi0 hands 2n - 1 starts to ``evolve_many``, a complex one all 2n."""
+    handed = []
+
+    def counted(starts, potential, params):
+        handed.append(len(starts))
+        return solver.evolve_many(starts, potential, params)
+
+    monkeypatch.setattr(studies, "evolve_many", counted)
+    psi0 = gaussian_field(grid)
+    if is_complex:
+        psi0 = WaveField(grid, psi0.values * np.exp(1j * grid.x))
+    stability_study(psi0, unit_atom, 0.2, (1e-2, 1e-3), STABILITY_PARAMS, 0)
+    assert handed == [6 if is_complex else 5]
+
+
+def test_stability_real_start_matches_the_full_stack(grid, unit_atom):
+    """For a real psi0, r and k equal, bit for bit, the study's formulas
+    applied to the full 2n-row stack, which steps the backward base run as
+    a row of its own."""
+    psi0 = gaussian_field(grid)
+    deltas, seed = (1e-2, 1e-3), 3
+    rep = stability_study(psi0, unit_atom, 0.2, deltas, STABILITY_PARAMS,
+                          seed)
+
+    g = random_field(grid, generator(seed))
+    starts = [psi0.values] + [psi0.values + d * g.values for d in deltas]
+    runs = solver.evolve_many(
+        [WaveField(grid, v) for v in starts + [np.conj(v) for v in starts]],
+        truncated_potential(unit_atom, grid, 0.2, "fully_truncated"),
+        STABILITY_PARAMS)
+    profile = weight_profile(unit_atom)
+    n = len(starts)
+    sizes = np.array([[sobolev_norm(WaveField(grid, s), 1.0)
+                       * weighted_l2_norm(WaveField(grid, s), profile)
+                       for s in states] for states in runs])
+    r = [float(np.max([sobolev_norm(WaveField(grid, d), -1.0)
+                       for base in (0, n)
+                       for d in runs[base] - runs[base + idx]])) / delta
+         for idx, delta in enumerate(deltas, start=1)]
+    k = [float(np.max(sizes[[0, n]] + sizes[[idx, n + idx]]))
+         for idx in range(1, n)]
+    assert rep.columns["r"] == r
+    assert rep.columns["k"] == k
 
 
 def test_studies_compute_only_what_they_report(monkeypatch):
