@@ -8,17 +8,14 @@ byte-identical CSV payloads.  Timestamps appear only in the JSON manifest.
 
 Exit codes: 0 success (and all study flags pass), 2 configuration problem,
 3 grid too coarse for a smoothing width (a ResolutionError),
-4 numerical failure, 5 study flags failed.  A configuration problem is a
-ConfigError: the CLI raises it for keys and values, converts the ValueError
-of anything it builds from the config (grid, measure, initial field, step
-parameters, input files), and the library raises it for a smoothing width
-outside (0, 1], for a window outside -2**52 <= window_lo < window_hi <=
-2**52 (checked only where a command reads the window), for a Poisson
-intensity that is not finite and positive, for a size past its ceiling
-(``errors.checked_size``, before anything is allocated or stepped), and for
-study inputs.  Any other exception is a bug and propagates.  An empty
-``variant`` or a zero ``n_samples`` is not passed on, so the called
-function's own default applies.
+4 numerical failure (a BlowUpError), 5 study flags failed.  A configuration
+problem is a ConfigError, raised by whichever check, here or in the library,
+refuses a value that a config key or an input file sets, or an OSError (an
+input file that cannot be read, an output directory that cannot be made).
+``main`` maps these exception classes to exit codes and converts nothing;
+any other exception is a bug and propagates.  An empty ``variant`` or a zero
+``n_samples`` is not passed on, so the called function's own default
+applies.
 """
 from __future__ import annotations
 
@@ -26,7 +23,6 @@ import argparse
 import hashlib
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -118,10 +114,8 @@ def _parse_value(key: str, raw: str):
 
 def _read_config_file(path: str) -> list[tuple[str, str]]:
     pairs = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    # an undecodable byte becomes U+FFFD, so its line fails as a bad value
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -151,63 +145,47 @@ def resolve_config(config_path: str | None, overrides: list[str],
     return cfg
 
 
-@contextmanager
-def _configured(what: str):
-    """Report a configured value or input file that the library rejects, or
-    a file it cannot read, as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out_dir"])
-    with _configured("out_dir"):
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _grid(cfg: dict) -> Grid:
-    with _configured("grid"):
-        return Grid(cfg["half_length"], cfg["n_points"])
+    return Grid(cfg["half_length"], cfg["n_points"])
 
 
 def _build_measure(cfg: dict) -> AtomicMeasure:
     window = (cfg["window_lo"], cfg["window_hi"])
     kind = cfg["measure"]
     seed = _rng.substream_seed(cfg["seed"], 0)
-    with _configured(f"measure {kind}"):
-        if kind == "poisson":
-            return sample_poisson(window, cfg["intensity"], seed)
-        if kind == "bernoulli":
-            return sample_bernoulli_crystal(window, cfg["spacing"], cfg["prob"], seed)
-        if kind == "canonical":
-            return sample_fixed_count(window, cfg["count"], seed)
-        if kind == "kronig_penney":
-            return sample_comb(window)
-        if kind == "none":
-            return AtomicMeasure(window, np.empty(0), np.empty(0))
-        if not cfg["atoms_file"]:
-            raise ConfigError("measure=file requires atoms_file=PATH")
-        return load_atoms_json(cfg["atoms_file"])
+    if kind == "poisson":
+        return sample_poisson(window, cfg["intensity"], seed)
+    if kind == "bernoulli":
+        return sample_bernoulli_crystal(window, cfg["spacing"], cfg["prob"], seed)
+    if kind == "canonical":
+        return sample_fixed_count(window, cfg["count"], seed)
+    if kind == "kronig_penney":
+        return sample_comb(window)
+    if kind == "none":
+        return AtomicMeasure(window, np.empty(0), np.empty(0))
+    if not cfg["atoms_file"]:
+        raise ConfigError("measure=file requires atoms_file=PATH")
+    return load_atoms_json(cfg["atoms_file"])
 
 
 def _build_initial(cfg: dict, grid: Grid):
     kind = cfg["initial"]
-    with _configured(f"initial {kind}"):
-        if kind == "gaussian":
-            return gaussian_field(grid, sigma=cfg["sigma"], center=cfg["center"],
-                                  amplitude=cfg["amplitude"])
-        if kind == "random":
-            gen = _rng.generator(_rng.substream_seed(cfg["seed"], 1))
-            return random_field(grid, gen, spectral_width=cfg["spectral_width"])
-        if not cfg["field_file"]:
-            raise ConfigError("initial=file requires field_file=PATH")
-        path = Path(cfg["field_file"])
-        f = load_field_bin(path) if path.suffix == ".bin" else load_field_csv(path)
+    if kind == "gaussian":
+        return gaussian_field(grid, sigma=cfg["sigma"], center=cfg["center"],
+                              amplitude=cfg["amplitude"])
+    if kind == "random":
+        gen = _rng.generator(_rng.substream_seed(cfg["seed"], 1))
+        return random_field(grid, gen, spectral_width=cfg["spectral_width"])
+    if not cfg["field_file"]:
+        raise ConfigError("initial=file requires field_file=PATH")
+    path = Path(cfg["field_file"])
+    f = load_field_bin(path) if path.suffix == ".bin" else load_field_csv(path)
     if f.grid != grid:
         raise ConfigError("field_file grid does not match the configured grid")
     return f
@@ -219,10 +197,9 @@ def _if_set(cfg: dict, key: str) -> dict:
 
 
 def _solver_params(cfg: dict) -> SolverParams:
-    with _configured("stepping"):
-        return SolverParams(dt=cfg["dt"], t_final=cfg["t_final"],
-                            record_every=cfg["record_every"],
-                            record_quartic=cfg["record_quartic"])
+    return SolverParams(dt=cfg["dt"], t_final=cfg["t_final"],
+                        record_every=cfg["record_every"],
+                        record_quartic=cfg["record_quartic"])
 
 
 def _write_manifest(out: Path, command: str, cfg: dict,
@@ -324,7 +301,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_study(cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResolutionError as exc:

@@ -15,11 +15,10 @@ MAX_ENTRIES = 2**27
 
 
 class ConfigError(ValueError):
-    """Invalid configuration file, key, or value, a smoothing width outside
-    (0, 1], a window outside -2**52 <= lo < hi <= 2**52, a Poisson
-    intensity that is not finite and positive, a size past its ceiling
-    (``checked_size``), or a study input outside its domain; a ValueError,
-    so callers that catch ValueError see it too."""
+    """A value that a config key or an input file can set fails its check;
+    raised by the check itself, wherever it is made.  A precondition that
+    only code can break raises plain ValueError instead, so it propagates
+    as a bug.  A ValueError, so callers that catch ValueError see it too."""
 
 
 def checked_size(what: str, n, ceiling: int) -> int:

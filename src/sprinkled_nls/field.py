@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .bump import plateau_cutoff
-from .errors import MAX_ENTRIES, checked_size
+from .errors import MAX_ENTRIES, ConfigError, checked_size
 
 __all__ = [
     "Grid",
@@ -57,16 +57,16 @@ class Grid:
 
     def __post_init__(self):
         if not (0 < self.half_length < np.inf):
-            raise ValueError("half_length must be positive and finite")
+            raise ConfigError("half_length must be positive and finite")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two, at least 4")
+            raise ConfigError("n must be a power of two, at least 4")
         checked_size("grid points n", self.n, MAX_ENTRIES)
         # the free step and the Sobolev norms use xi^2; a finite square also
         # keeps dx large enough that an atom's grid index stays finite
         top = np.pi * (self.n // 2) / self.half_length
         if not top * top < np.inf:
-            raise ValueError("the top frequency pi (n/2) / half_length must "
-                             "have a finite square")
+            raise ConfigError("the top frequency pi (n/2) / half_length must "
+                              "have a finite square")
 
     @property
     def dx(self) -> float:
@@ -113,7 +113,7 @@ class GriddedDensity:
         if v.shape != (self.grid.n,):
             raise ValueError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
-            raise ValueError("density values must be finite")
+            raise ConfigError("density values must be finite")
         if np.any(v < 0):
             raise ValueError("density values must be non-negative")
         object.__setattr__(self, "values", _readonly(v.copy()))
@@ -123,11 +123,12 @@ def gaussian_field(grid: Grid, sigma: float = 1.0, center: float = 0.0,
                    amplitude: float = 1.0) -> WaveField:
     """amplitude * exp(-((x-center)/sigma)^2); sigma=1, center=0 gives exp(-x^2)."""
     if not sigma > 0:
-        raise ValueError("sigma must be positive")
+        raise ConfigError("sigma must be positive")
     if not np.isfinite([center, amplitude]).all():
-        raise ValueError("center and amplitude must be finite")
-    u = (grid.x - center) / sigma
-    return WaveField(grid, amplitude * np.exp(-u * u).astype(np.complex128))
+        raise ConfigError("center and amplitude must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf) = 0 is exact
+        u = (grid.x - center) / sigma
+        return WaveField(grid, amplitude * np.exp(-u * u).astype(np.complex128))
 
 
 def random_field(grid: Grid, gen: np.random.Generator,
@@ -135,8 +136,9 @@ def random_field(grid: Grid, gen: np.random.Generator,
     """Random smooth field of unit H^1 norm drawn from gen: Gaussian spectral
     amplitudes with an exp(-(xi/width)^2) envelope."""
     if not spectral_width > 0:
-        raise ValueError("spectral_width must be positive")
-    envelope = np.exp(-((grid.xi / spectral_width) ** 2))
+        raise ConfigError("spectral_width must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf) = 0 is exact
+        envelope = np.exp(-((grid.xi / spectral_width) ** 2))
     coeff = (gen.standard_normal(grid.n) + 1j * gen.standard_normal(grid.n)) * envelope
     f = WaveField(grid, np.fft.ifft(coeff))
     return WaveField(grid, f.values / sobolev_norm(f, 1.0))
@@ -262,17 +264,20 @@ _BIN_MAGIC = b"SNLSFLD1"
 
 def load_field_csv(path) -> WaveField:
     with warnings.catch_warnings():
-        # a file without data rows is reported by the ValueError below
+        # a file without data rows is reported by the shape check below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"field CSV {path}: {exc}") from exc
     if data.shape[1] != 3:
-        raise ValueError(f"field CSV {path} needs x,re,im data rows")
+        raise ConfigError(f"field CSV {path} needs x,re,im data rows")
     x = data[:, 0]
     n = len(x)
     half_length = -x[0]
     grid = Grid(half_length, n)
     if not np.allclose(grid.x, x, rtol=0, atol=1e-12 * max(1.0, half_length)):
-        raise ValueError("CSV abscissae are not a uniform [-L, L) grid")
+        raise ConfigError("CSV abscissae are not a uniform [-L, L) grid")
     return WaveField(grid, data[:, 1] + 1j * data[:, 2])
 
 
@@ -290,14 +295,14 @@ def load_field_bin(path) -> WaveField:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _BIN_MAGIC:
-            raise ValueError("not a field binary file")
+            raise ConfigError("not a field binary file")
         header = fh.read(16)
         if len(header) != 16:
-            raise ValueError(f"field binary file {path} ends inside its header")
+            raise ConfigError(f"field binary file {path} ends inside its header")
         half_length, n = struct.unpack("<dQ", header)
         if 16 * n > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError(f"field binary file {path} holds fewer than the "
-                             f"{n} values its header declares")
+            raise ConfigError(f"field binary file {path} holds fewer than the "
+                              f"{n} values its header declares")
         raw = fh.read(16 * n)
     values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     return WaveField(Grid(half_length, int(n)), values)

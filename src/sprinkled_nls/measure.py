@@ -42,7 +42,7 @@ the envelope over the window's intervals [floor(a), ceil(b)], which the
 window rule of ``point_process`` makes hold every atom, and reads N_k^2 at
 any integer k through this edge rule; ``profile.csv`` holds the same rows.
 The table's cells (samples x intervals) pass the size rule of ``errors``
-before it is built.
+before it is built, and its largest squared interval mass must be finite.
 A ``PoissonBatch`` gets one envelope row per sample over the same intervals,
 each row equal bit for bit to its sample's own profile.
 """
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bump import raw_bump
-from .errors import MAX_ENTRIES, checked_size
+from .errors import MAX_ENTRIES, ConfigError, checked_size
 from .field import WaveField, hat_moments
 from .payload import write_csv
 from .point_process import AtomicMeasure, PoissonBatch
@@ -117,7 +117,9 @@ def _interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
     one measure is ``offsets = [0, count]``), binned by one bincount over
     (sample, interval) keys; each interval's atoms are added in position
     order.  A table past the size ceiling raises ConfigError before
-    anything is allocated; an atom outside the range raises ValueError."""
+    anything is allocated, and so does, once built, a table whose largest
+    squared interval mass N_k^2 is not finite; an atom outside the range
+    raises ValueError."""
     counts = np.diff(offsets)
     width = k_end - k_start + 1
     checked_size("interval table cells (samples x unit intervals)",
@@ -127,8 +129,13 @@ def _interval_masses(positions: np.ndarray, masses: np.ndarray, offsets,
     if keys.size and not (0 <= keys.min() and keys.max() < width):
         raise ValueError(f"atoms outside the intervals [{k_start}, {k_end}]")
     keys += np.repeat(np.arange(0, counts.size * width, width), counts)
-    return np.bincount(keys, masses, minlength=counts.size * width
-                       ).reshape(counts.size, width)
+    table = np.bincount(keys, masses, minlength=counts.size * width
+                        ).reshape(counts.size, width)
+    top = float(table.max(initial=0.0))
+    if not np.isfinite(top * top):  # a Python product overflows silently
+        raise ConfigError(f"interval mass {top:.6g} has no finite square "
+                          "N_k^2")
+    return table
 
 
 def _envelope(masses: np.ndarray) -> np.ndarray:

@@ -46,21 +46,23 @@ def check_resolution(grid: Grid, eps: float) -> None:
 def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensity:
     """Width-eps mollification of an atomic measure, sampled on the grid:
     per-atom deposition of the sampled bump kernel, renormalized to the
-    atom's exact mass."""
+    atom's exact mass.  A density that overflows is refused by
+    GriddedDensity's finiteness check."""
     check_resolution(grid, eps)
     values = np.zeros(grid.n)
     L, dx, n = grid.half_length, grid.dx, grid.n
-    for y, mass in zip(mu.positions, mu.masses):
-        i0 = max(0, int(np.ceil((y - eps + L) / dx)))
-        i1 = min(n - 1, int(np.floor((y + eps + L) / dx)))
-        if i1 < i0:
-            continue
-        xs = -L + dx * np.arange(i0, i1 + 1)
-        k = bump_scaled(xs - y, eps)
-        s = k.sum() * dx
-        if s <= 0.0:
-            continue
-        values[i0:i1 + 1] += (mass / s) * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y, mass in zip(mu.positions, mu.masses):
+            i0 = max(0, int(np.ceil((y - eps + L) / dx)))
+            i1 = min(n - 1, int(np.floor((y + eps + L) / dx)))
+            if i1 < i0:
+                continue
+            xs = -L + dx * np.arange(i0, i1 + 1)
+            k = bump_scaled(xs - y, eps)
+            s = k.sum() * dx
+            if s <= 0.0:
+                continue
+            values[i0:i1 + 1] += (mass / s) * k
     return GriddedDensity(grid, values)
 
 

@@ -59,7 +59,7 @@ def _checked_positions(window, positions) -> tuple[tuple[float, float],
     if pos.ndim != 1:
         raise ValueError("atom positions must be a 1-d array")
     if not ((a <= pos) & (pos <= b)).all():
-        raise ValueError("atom positions must lie inside the window")
+        raise ConfigError("atom positions must lie inside the window")
     return (a, b), pos
 
 
@@ -78,7 +78,7 @@ class AtomicMeasure:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
         # NaN fails every comparison, so this also rejects non-finite masses
         if not ((0 < mas) & (mas < np.inf)).all():
-            raise ValueError("atom masses must be positive and finite")
+            raise ConfigError("atom masses must be positive and finite")
         if (pos[1:] < pos[:-1]).any():
             order = np.argsort(pos, kind="stable")
             pos, mas = pos[order], mas[order]
@@ -217,11 +217,11 @@ def _lattice_sites(a: float, b: float, spacing: float) -> np.ndarray:
     """The lattice sites k*spacing in [a, b]; a site within 1e-12 lattice
     steps of an edge counts as on it and is clipped onto it, so rounding
     neither drops an edge site nor puts one outside the window.  A spacing
-    that is not positive and finite raises ValueError, a site count past the
-    size ceiling ConfigError."""
+    that is not positive and finite, or a site count past the size ceiling,
+    raises ConfigError."""
     if not 0 < spacing < np.inf:
-        raise ValueError(f"lattice spacing {spacing:g} must be positive and "
-                         "finite")
+        raise ConfigError(f"lattice spacing {spacing:g} must be positive and "
+                          "finite")
     k_lo = np.ceil(a / spacing - 1e-12)
     n = checked_size(f"lattice sites at spacing {spacing:g}",
                      np.floor(b / spacing + 1e-12) - k_lo + 1, MAX_ENTRIES)
@@ -234,7 +234,7 @@ def sample_bernoulli_crystal(window: tuple[float, float], spacing: float,
     kept independently with probability prob."""
     a, b = _checked_window(window)
     if not 0 < prob <= 1:
-        raise ValueError("need 0 < prob <= 1")
+        raise ConfigError("need 0 < prob <= 1")
     sites = _lattice_sites(a, b, spacing)
     if prob < 1:
         gen = _rng.generator(seed)
@@ -346,17 +346,19 @@ def save_atoms_json(mu: AtomicMeasure, path) -> None:
 
 def load_atoms_json(path) -> AtomicMeasure:
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or not {"window", "atoms"} <= doc.keys():
-        raise ValueError(f'atoms file {path} needs "window" and "atoms" keys')
-    window = tuple(doc["window"])
-    if len(window) != 2:
-        raise ValueError(f'atoms file {path}: "window" needs two entries, '
-                         "lo and hi")
-    atoms = np.asarray(doc["atoms"], dtype=float)
+        try:
+            doc = json.load(fh)
+            window = np.asarray(doc["window"], dtype=float)
+            atoms = np.asarray(doc["atoms"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f'atoms file {path} needs a JSON object with '
+                              f'"window" and "atoms" numbers: {exc!r}') from exc
+    if window.shape != (2,):
+        raise ConfigError(f'atoms file {path}: "window" needs two entries, '
+                          "lo and hi")
     if atoms.shape == (0,):  # "atoms": [] is the empty measure
         atoms = atoms.reshape(0, 2)
     if atoms.ndim != 2 or atoms.shape[1] != 2:
-        raise ValueError(f'atoms file {path}: each of "atoms" must be a '
-                         "[position, mass] pair")
+        raise ConfigError(f'atoms file {path}: each of "atoms" must be a '
+                          "[position, mass] pair")
     return AtomicMeasure(window, atoms[:, 0], atoms[:, 1])

@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import energy, mass, quartic_measure_integral
-from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError,
+from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError, ConfigError,
                      OracleInstabilityError, checked_size)
 from .field import (Grid, GriddedDensity, WaveField, save_field_bin,
                     sobolev_norm, sup_norm)
@@ -87,15 +87,15 @@ class SolverParams:
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
-            raise ValueError("dt must lie in (0, 0.1]")
+            raise ConfigError("dt must lie in (0, 0.1]")
         if not self.dt <= self.t_final:
-            raise ValueError("t_final must be at least dt")
+            raise ConfigError("t_final must be at least dt")
         # a bounded step count also makes t_final finite
         object.__setattr__(self, "n_steps", checked_size(
             "step count t_final / dt", np.rint(self.t_final / self.dt),
             MAX_STEPS))
         if int(self.record_every) < 1:
-            raise ValueError("record_every must be a positive integer")
+            raise ConfigError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
 
     @property
@@ -159,23 +159,25 @@ def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
     records = np.empty((len(starts), n_records, grid.n), dtype=np.complex128)
     v = np.array([psi0.values for psi0 in starts])
     records[:, 0] = v
-    np.fft.fft(v, axis=1, out=v)
-    v *= half
     r = 1
-    for step in range(1, params.n_steps + 1):
-        np.fft.ifft(v, axis=1, out=v)
-        w = v[:, support]
-        np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
-        v[:, support] = w
+    # an overflow is reported by the finiteness check, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
         np.fft.fft(v, axis=1, out=v)
-        if not np.isfinite(v).all():
-            raise BlowUpError(step, step * dt)
-        if step == record_steps[r]:
-            record = records[:, r]
-            np.multiply(v, half, out=record)
-            np.fft.ifft(record, axis=1, out=record)
-            r += 1
-        v *= full
+        v *= half
+        for step in range(1, params.n_steps + 1):
+            np.fft.ifft(v, axis=1, out=v)
+            w = v[:, support]
+            np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
+            v[:, support] = w
+            np.fft.fft(v, axis=1, out=v)
+            if not np.isfinite(v).all():
+                raise BlowUpError(step, step * dt)
+            if step == record_steps[r]:
+                record = records[:, r]
+                np.multiply(v, half, out=record)
+                np.fft.ifft(record, axis=1, out=record)
+                r += 1
+            v *= full
     records.setflags(write=False)
     return records
 

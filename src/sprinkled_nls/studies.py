@@ -168,7 +168,9 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
         d_sum.append(float(np.max(h1s + l2s)))
         coarse = fine
 
-    ratios = [float("nan")] + [d_sum[i] / d_sum[i - 1] for i in range(1, len(d_sum))]
+    # a zero D (a start that is zero on the grid) has no ratio, like D's first
+    ratios = [float("nan")] + [b / a if a else float("nan")
+                               for a, b in zip(d_sum, d_sum[1:])]
     flags = {
         "strictly_decreasing": all(b < a for a, b in zip(d_sum, d_sum[1:])),
         "halving_gain": d_sum[-1] < 0.5 * d_sum[0],
@@ -273,7 +275,9 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
         {"eps": eps, "variant": variant, "dt": params.dt,
          "t_final": params.t_final, "seed": seed},
         {"delta": deltas, "r": r_vals, "k": k_vals, "envelope": env_vals},
-        {"max_over_min": max(r_vals) / min(r_vals)}, flags,
+        # a delta below the start's precision leaves R = 0, which has no ratio
+        {"max_over_min": max(r_vals) / min(r_vals) if min(r_vals)
+         else float("nan")}, flags,
         {"stability_envelope_constant": c_env})
 
 

@@ -55,6 +55,9 @@ def test_resolve_config_rejects_bad_input(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
         resolve_config(str(bad), [], None, None)
+    bad.write_bytes(b"dt = 0.001\xff\n")  # not UTF-8: a bad value for dt
+    with pytest.raises(ConfigError, match="bad value for dt"):
+        resolve_config(str(bad), [], None, None)
 
 
 def test_sample_outputs_and_manifest(tmp_path):
@@ -406,6 +409,57 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch,
             "measure=none", "--override", "eps=0.4", "--override",
             "t_final=0.01")
     assert "config error" not in capsys.readouterr().err
+
+
+EDGE_BASE = ("half_length=8", "n_points=512", "window_lo=-8", "window_hi=8",
+             "t_final=0.02", "eps=0.4", "eps_ladder=0.8,0.4,0.2")
+EDGE_COMMANDS = {"sample": ["sample"], "solve": ["solve"],
+                 "study eps": ["study", "study=eps"],
+                 "study stability": ["study", "study=stability"]}
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e308")
+# every numeric key, with the overrides under which the commands read it,
+# and the mass of one atom in an atoms file
+EDGE_KEYS = {**{key: [] for key, (tag, _, _) in SCHEMA.items()
+                if tag in ("int", "float", "floats")},
+             "spacing": ["measure=bernoulli"], "prob": ["measure=bernoulli"],
+             "count": ["measure=canonical"],
+             "spectral_width": ["initial=random"], "mass": ["measure=file"]}
+EDGE_PINNED = {
+    **{(command, "mass", mass): 2 for command in EDGE_COMMANDS
+       for mass in ("1e200", "1e308")},
+    ("study eps", "amplitude", "0"): 5,
+    ("study stability", "amplitude", "1e300"): 4}
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+@pytest.mark.parametrize("command", EDGE_COMMANDS)
+def test_edge_values_reach_a_documented_exit(tmp_path, capsys, command, key):
+    """Each numeric key at each edge value, and an atom whose squared mass
+    overflows, either runs or exits with a documented code, with no
+    traceback and no numpy warning.  Pinned rows: an overflowing weight is
+    a configuration problem, an eps study on a zero start fails its flags,
+    and a stability start with a non-finite record 0 is a numerical
+    failure."""
+    argv, *pairs = EDGE_COMMANDS[command]
+    atoms = tmp_path / "atoms.json"
+    codes = {}
+    for value in ("1e200", "1e308") if key == "mass" else EDGE_VALUES:
+        atoms.write_text(json.dumps({"window": [-8, 8],
+                                     "atoms": [[0.3, float(value)]]}))
+        setting = f"atoms_file={atoms}" if key == "mass" else f"{key}={value}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                codes[value] = run(argv, "--out", str(tmp_path / "x"),
+                                   *overrides(*EDGE_BASE, *pairs,
+                                              *EDGE_KEYS[key], setting))
+        except Exception as exc:  # an escape: exit 1 with a traceback
+            codes[value] = repr(exc)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err, value
+        pinned = EDGE_PINNED.get((command, key, value))
+        assert pinned in (None, codes[value]), (value, codes[value])
+    assert all(code in (0, 2, 3, 4, 5) for code in codes.values()), codes
 
 
 def test_default_study_config_passes_resolution_checks():
