@@ -1,16 +1,16 @@
 """Exception types shared across the package, and the one size rule.
 
 Every array a config sizes (grid points, lattice sites, interval-table
-cells, drawn atoms, samples, held records) and the step count of a run pass
-``checked_size`` against a ceiling stated here, before anything is
-allocated or stepped."""
+cells, drawn atoms, samples, hat-moment points, stacked starts, held
+records) and the step count of a run pass ``checked_size`` against a
+ceiling stated here, before anything is allocated or stepped."""
 
 # ceiling on the step count of one run: over 100x the largest run in use (the
 # default eps study's finest width steps 64,000 times)
 MAX_STEPS = 10**7
 # ceiling on the entries of any one array a config sizes: 1 GiB of float64;
-# the largest array in use, the default stability study's 8 x 101 x 4096
-# records, is 40x below it
+# the largest array in use, the default solve's 101 x 4096 records, is 324x
+# below it
 MAX_ENTRIES = 2**27
 
 

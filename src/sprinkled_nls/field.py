@@ -233,6 +233,9 @@ def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
     one-sided G terms where it is clipped; exact for any L, integer or not.
     """
     n, half_length = f.grid.n, f.grid.half_length
+    # _trig_sum's b + 2N/b <= 3 sqrt(N) entries at each of <= 2L + 5 points
+    checked_size("hat-moment entries (points x trig-sum terms)",
+                 (2 * float(half_length) + 5) * 3 * n**0.5, MAX_ENTRIES)
     fhat = f.spectrum
     pad = np.zeros(2 * n, dtype=np.complex128)
     pad[: n // 2] = fhat[: n // 2]
@@ -270,8 +273,9 @@ def load_field_csv(path) -> WaveField:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"field CSV {path}: {exc}") from exc
-    if data.shape[1] != 3:
-        raise ConfigError(f"field CSV {path} needs x,re,im data rows")
+    if data.shape[1] != 3 or not np.isfinite(data).all():
+        raise ConfigError(f"field CSV {path} needs x,re,im data rows of "
+                          "finite values")
     x = data[:, 0]
     n = len(x)
     half_length = -x[0]
@@ -305,5 +309,7 @@ def load_field_bin(path) -> WaveField:
                               f"{n} values its header declares")
         raw = fh.read(16 * n)
     values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"field binary file {path} holds a non-finite value")
     return WaveField(Grid(half_length, int(n)), values)
 

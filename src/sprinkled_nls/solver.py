@@ -21,10 +21,10 @@ splitting is first same as last), so the stack stays in Fourier space
 between steps: one FFT and a half-step multiply before the first step, then
 per step an IFFT, the kick, an FFT and the full free multiply.  That is two
 transforms per step whatever B is, plus one per record: a record is the IFFT
-of the spectrum times the half-step multiplier, written straight into its
-row of the record array, so the state that steps on never depends on the
-record schedule.  The finiteness check reads the spectrum after the kick,
-which a non-finite value anywhere in its row makes non-finite.
+of the spectrum times the half-step multiplier, a new array, so the state
+that steps on never depends on the record schedule.  The finiteness check
+reads the spectrum after the kick, which a non-finite value anywhere in its
+row makes non-finite.
 
 The nonlinear phase is applied only on the support of V (gather,
 multiply, scatter); off the support it is exp(0) = 1, so this is exact.
@@ -34,19 +34,19 @@ the expression psi * phase lets numpy swap them once the phase temporary
 reaches 256 KiB.  With the order fixed, every row of a stack equals the same
 start run alone bit for bit.
 
-Records land in one (B, R, N) array at ``SolverParams.record_steps``,
-allocated before the first step and read-only after the last; it is all the
-kernel returns.  ``evolve``, the only code that builds a ``Trajectory``,
-takes and checks (``check_record``) the diagnostics record by record, record
-0 before the first step, on a short-lived ``WaveField`` whose cached spectrum
-serves them all: a whole block at once would hold (R, N) temporaries per
-diagnostic, which costs more memory than it saves time.
+The kernel yields each record as it reaches it, record 0 (a copy of the
+starts) before the first step, and keeps none; each caller checks
+(``check_record``) its numbers from a record as it arrives.  ``evolve``, the
+one builder of a ``Trajectory``, takes record 0's diagnostics, then drains
+the kernel into an (R, N) state array and takes each other row's on a
+short-lived ``WaveField`` whose cached spectrum serves them all: a whole
+block at once would hold (R, N) temporaries per diagnostic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,8 +76,9 @@ DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Time-stepping parameters; a run records at ``record_steps``, and
-    record_quartic reaches ``evolve``'s diagnostics only."""
+    """Time-stepping parameters; a run records at step 0, every
+    record_every steps and the last, and record_quartic reaches
+    ``evolve``'s diagnostics only."""
 
     dt: float
     t_final: float
@@ -98,12 +99,6 @@ class SolverParams:
             raise ConfigError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
 
-    @property
-    def record_steps(self) -> np.ndarray:
-        """Steps a run records: 0, every record_every steps, the last."""
-        return np.append(np.arange(0, self.n_steps, self.record_every),
-                         self.n_steps)
-
 
 @dataclass
 class Trajectory:
@@ -117,21 +112,6 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray]
 
 
-def _admitted_records(starts: Sequence[WaveField], potential: GriddedDensity,
-                      params: SolverParams) -> int:
-    """The record count R of a run, once its starts share the potential's
-    grid and its (B, R, N) record array passes the size rule; O(1), so
-    nothing is built for a run the rule refuses."""
-    if not starts:
-        raise ValueError("evolve_many needs at least one initial state")
-    if any(psi0.grid != potential.grid for psi0 in starts):
-        raise ValueError("potential and initial data must share a grid")
-    n_records = len(range(0, params.n_steps, params.record_every)) + 1
-    checked_size("record entries (starts x records x grid points)",
-                 len(starts) * n_records * potential.grid.n, MAX_ENTRIES)
-    return n_records
-
-
 def check_record(step: int, dt: float, names: Sequence[str], values) -> None:
     """The one per-record rule: BlowUpError at the first non-finite value."""
     for name, value in zip(names, values):
@@ -140,61 +120,65 @@ def check_record(step: int, dt: float, names: Sequence[str], values) -> None:
 
 
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
-                params: SolverParams) -> np.ndarray:
-    """Strang-split evolution of a stack of initial states: the read-only
-    (B, R, N) array of each start's states at ``params.record_steps``.
-
-    The record array passes the size rule before the first step.  A
-    non-finite value in any row stops the whole stack.
+                params: SolverParams) -> Iterator[tuple[int, np.ndarray]]:
+    """Strang-split evolution of a stack of initial states, checked when
+    called (starts, grid, stack size): yields ``(step, block)`` at each
+    recorded step, ``block`` a new (B, N) array of the states, record 0
+    before the first step.  A non-finite value in any row stops the stack.
     """
-    n_records = _admitted_records(starts, potential, params)
-    grid = potential.grid
-    dt = params.dt
+    if not starts:
+        raise ValueError("evolve_many needs at least one initial state")
+    if any(psi0.grid != potential.grid for psi0 in starts):
+        raise ValueError("potential and initial data must share a grid")
+    checked_size("stack entries (starts x grid points)",
+                 len(starts) * potential.grid.n, MAX_ENTRIES)
+    return _strang_records(starts, potential, params)
+
+
+def _strang_records(starts, potential, params):
+    v = np.array([psi0.values for psi0 in starts])
+    yield 0, v.copy()
+    grid, dt, n_steps = potential.grid, params.dt, params.n_steps
     half = np.exp(-0.5j * dt * grid.xi**2)
     full = np.exp(-1j * dt * grid.xi**2)
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
-
-    record_steps = params.record_steps
-    records = np.empty((len(starts), n_records, grid.n), dtype=np.complex128)
-    v = np.array([psi0.values for psi0 in starts])
-    records[:, 0] = v
-    r = 1
-    # an overflow is reported by the finiteness check, not by numpy
+    # an overflow is reported by the finiteness check, not by numpy; set per
+    # step, as an error state held across a yield leaks into the caller
     with np.errstate(over="ignore", invalid="ignore"):
         np.fft.fft(v, axis=1, out=v)
         v *= half
-        for step in range(1, params.n_steps + 1):
+    for step in range(1, n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.fft.ifft(v, axis=1, out=v)
             w = v[:, support]
             np.multiply(w, np.exp(kick * (w.real**2 + w.imag**2)), out=w)
             v[:, support] = w
             np.fft.fft(v, axis=1, out=v)
-            if not np.isfinite(v).all():
-                raise BlowUpError(step, step * dt)
-            if step == record_steps[r]:
-                record = records[:, r]
-                np.multiply(v, half, out=record)
-                np.fft.ifft(record, axis=1, out=record)
-                r += 1
-            v *= full
-    records.setflags(write=False)
-    return records
+        if not np.isfinite(v).all():
+            raise BlowUpError(step, step * dt)
+        if step % params.record_every == 0 or step == n_steps:
+            record = v * half
+            np.fft.ifft(record, axis=1, out=record)
+            yield step, record
+        v *= full
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
            *, measure: AtomicMeasure) -> Trajectory:
     """One run with its per-record diagnostics.
 
-    The weight profile of the measure passes the size rule before the first
-    step.  The weighted norm (and, when record_quartic is on, the quartic
-    measure integral) is recorded against the measure; an empty measure
-    gives the baseline weight 4.  Each row passes ``check_record`` as it is
-    computed, record 0 before the first step; the quartic column is NaN and
-    unchecked when record_quartic is off.
+    The weight profile of the measure and the (R, N) state array pass the
+    size rule before the first step.  The weighted norm (and, when
+    record_quartic is on, the quartic measure integral) is recorded against
+    the measure; an empty measure gives the baseline weight 4.  Each row
+    passes ``check_record`` as it is computed, record 0 before the first
+    step; the quartic column is NaN and unchecked when record_quartic is off.
     """
     profile = weight_profile(measure)
-    _admitted_records([psi0], potential, params)
+    n_records = len(range(0, params.n_steps, params.record_every)) + 1
+    checked_size("record entries (records x grid points)",
+                 n_records * potential.grid.n, MAX_ENTRIES)
     checked = DIAGNOSTIC_COLUMNS[1:None if params.record_quartic else -1]
 
     def row(step, state: np.ndarray) -> tuple:
@@ -204,14 +188,22 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
                       weighted_l2_norm(s, profile), sup_norm(s),
                       quartic_measure_integral(s, measure)
                       if params.record_quartic else np.nan)
-        check_record(int(step), params.dt, checked, values)
+        check_record(step, params.dt, checked, values)
         return values
 
-    rows = [row(0, psi0.values)]
-    states = evolve_many([psi0], potential, params)[0]
-    rows += map(row, params.record_steps[1:], states[1:])
+    records = evolve_many([psi0], potential, params)
+    rows = [row(0, next(records)[1][0])]
+    states = np.empty((n_records, potential.grid.n), dtype=np.complex128)
+    states[0] = psi0.values
+    steps = [0]
+    for step, block in records:
+        states[len(steps)] = block[0]
+        steps.append(step)
+    del block  # dies before the other rows' diagnostics are taken
+    states.setflags(write=False)
+    rows += map(row, steps[1:], states[1:])
     return Trajectory(params, potential.grid, states,
-                      {"t": params.record_steps * params.dt,
+                      {"t": np.array(steps) * params.dt,
                        **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))})
 
 

@@ -115,9 +115,10 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     exactly half the one before) the study solves at eps and eps/2 and
     records D(eps) = sup over record times of the H^1 + weighted-L^2
     distance between the two runs.  Consecutive pairs share solves, so a
-    ladder of length m costs exactly m + 1 runs, stepped coarse to fine with
-    at most two held.  Flags: D strictly decreasing along the ladder, and the
-    last value below half the first.
+    ladder of length m costs exactly m + 1 runs, stepped in lockstep: each
+    record's distances are checked as the runs reach it, record 0 first, and
+    only running maxima are kept.  Flags: D strictly decreasing along the
+    ladder, and the last value below half the first.
 
     The splitting error grows steeply as the potential sharpens (empirically
     like dt^2 * eps^-2.2), so a uniform step would either drown the fine-eps
@@ -151,22 +152,20 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
               for eps in widths]
     profile = weight_profile(mu)
 
-    runs = (evolve_many([psi0], potential, p)[0] for potential, p in setups)
-    coarse = next(runs)
-    d_h1, d_l2mu, d_sum = [], [], []
-    for fine in runs:
+    runs = [evolve_many([psi0], potential, p) for potential, p in setups]
+    sups = np.zeros((3, len(ladder)))  # D's H^1, L^2_mu and sum parts
+    for records in zip(*runs):
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = (WaveField(psi0.grid, d) for d in coarse - fine)
+            diffs = (WaveField(psi0.grid, a[0] - b[0])
+                     for (_, a), (_, b) in zip(records, records[1:]))
             h1s, l2s = np.array([(sobolev_norm(d, 1.0),
                                   weighted_l2_norm(d, profile))
                                  for d in diffs]).T
-        for step, h1, l2 in zip(params.record_steps, h1s, l2s):
-            check_record(int(step), params.dt,
-                         ("H^1 distance", "L^2_mu distance"), (h1, l2))
-        d_h1.append(float(np.max(h1s)))
-        d_l2mu.append(float(np.max(l2s)))
-        d_sum.append(float(np.max(h1s + l2s)))
-        coarse = fine
+        # a record's step is counted in the coarsest run's dt, params.dt
+        check_record(records[0][0], params.dt,
+                     ("H^1 distance", "L^2_mu distance"), (h1s, l2s))
+        np.maximum(sups, (h1s, l2s, h1s + l2s), out=sups)
+    d_h1, d_l2mu, d_sum = sups.tolist()
 
     # a zero D (a start that is zero on the grid) has no ratio, like D's first
     ratios = [float("nan")] + [b / a if a else float("nan")
@@ -208,9 +207,9 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     The runs share one potential and one step, so they advance as one stack
     through ``evolve_many``: all 2 (1 + #deltas) of them for a complex
     psi0, one fewer for a real psi0, whose conjugate is psi0 itself and
-    whose backward base run is therefore the forward one.  K's norms are
-    taken once per stepped row and record, and nothing else is computed on
-    the records.
+    whose backward base run is therefore the forward one.  Each record's
+    norms (K's once per stepped row) are checked as the stack reaches it,
+    record 0 first, and only running sups are kept.
 
     Flags: R varies by less than a factor of two across deltas, and every R
     stays below C * exp(C * K^2 (1 + K^2) * T^2) at the frozen C.
@@ -228,37 +227,37 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     real = np.array_equal(psi0.values, conjugates[0])
     potential = truncated_potential(mu, psi0.grid, eps, variant)
     profile = weight_profile(mu)
-    stepped = evolve_many([WaveField(psi0.grid, v)
-                           for v in starts + conjugates[1 if real else 0:]],
-                          potential, params)
+    stepped = [WaveField(psi0.grid, v)
+               for v in starts + conjugates[1 if real else 0:]]
     n = len(starts)
-    # runs[i] is stepped row rows[i]: the n forward runs, then the n
-    # backward ones, whose base is the forward base's row for a real psi0
+    # run i is stepped row rows[i]: the n forward runs, then the n backward
+    # ones, whose base is the forward base's row for a real psi0
     rows = list(range(len(stepped)))
     if real:
         rows.insert(n, 0)
-    runs = [stepped[i] for i in rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row at every
-        # record, read for every run through rows
-        sizes = np.array([[sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
-                           for f in (WaveField(psi0.grid, s) for s in states)]
-                          for states in stepped])[rows]
-        # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
-        # backward pair, at every record
-        diffs = np.array([[[sobolev_norm(WaveField(psi0.grid, d), -1.0)
-                            for d in runs[base] - runs[base + idx]]
-                           for base in (0, n)] for idx in range(1, n)])
-    for r, step in enumerate(params.record_steps):
-        check_record(int(step), params.dt,
-                     ("H^1 x L^2_mu size", "H^-1 difference"),
-                     (sizes[:, r], diffs[..., r]))
+    sups = np.zeros((2, n - 1))  # per delta, sup of K and of H^-1 distance
+    for step, block in evolve_many(stepped, potential, params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row, read for
+            # every run through rows
+            sizes = np.array([sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
+                              for f in (WaveField(psi0.grid, s)
+                                        for s in block)])[rows]
+            # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
+            # backward pair
+            diffs = np.array([[sobolev_norm(WaveField(
+                psi0.grid, block[rows[base]] - block[rows[base + idx]]), -1.0)
+                               for base in (0, n)] for idx in range(1, n)])
+        check_record(step, params.dt,
+                     ("H^1 x L^2_mu size", "H^-1 difference"), (sizes, diffs))
+        np.maximum(sups, (np.maximum(sizes[0] + sizes[1:n],
+                                     sizes[n] + sizes[n + 1:]),
+                          np.max(diffs, axis=1)), out=sups)
 
     t_final = params.n_steps * params.dt
     r_vals, k_vals, env_vals = [], [], []
-    for idx, delta in enumerate(deltas, start=1):
-        k = float(np.max(sizes[[0, n]] + sizes[[idx, n + idx]]))
-        r_vals.append(float(np.max(diffs[idx - 1])) / delta)
+    for k, d, delta in zip(*sups.tolist(), deltas):
+        r_vals.append(d / delta)
         k_vals.append(k)
         # capped exponent: the flag compares against a finite ceiling; K
         # past 1e100 saturates it (k**2 of a larger float would overflow)
@@ -315,6 +314,8 @@ def moment_study(grid: Grid | None = None, n_samples: int = 20000,
     # are computed once and paired with every sampled profile
     pairs = [hat_moments(f) for f in profiles.values()]
     ks = pairs[0][0]
+    checked_size("weight table entries (chunk samples x integers)",
+                 SWEEP_CHUNK * ks.size, MAX_ENTRIES)
     origin = int(np.flatnonzero(ks == 0)[0])  # ks spans [-L, L], so holds 0
     moments = np.array([h for _, h in pairs])
 

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sprinkled_nls import cli, solver
+from sprinkled_nls import cli
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import MAX_ENTRIES, MAX_STEPS, ConfigError
-from sprinkled_nls.field import _BIN_MAGIC, Grid
+from sprinkled_nls.field import (_BIN_MAGIC, Grid, WaveField, gaussian_field,
+                                 save_field_bin)
 from sprinkled_nls.mollify import VARIANTS, check_resolution
 from sprinkled_nls.studies import StudyReport
 
@@ -208,21 +209,21 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_non_finite_start_record_exits_before_stepping(tmp_path, capsys,
-                                                       monkeypatch):
+                                                       no_step):
     """A start whose |psi|^4 overflows, or whose |psi|^2 does off the
-    potential's support, fails on its own record 0: the run exits 4 before
-    the first step, and the overflow raises no warning."""
-    def no_run(*args, **kwargs):
-        raise AssertionError("stepped a start whose record 0 is non-finite")
-
-    monkeypatch.setattr(solver, "evolve_many", no_run)
+    potential's support, fails on its own record 0: ``solve`` and ``study
+    stability`` exit 4 before the first step, and the overflow raises no
+    warning."""
     capsys.readouterr()
-    for pairs, column in ((["amplitude=1e150"], "energy"),
-                          (["amplitude=1e80"], "energy"),
-                          (["center=-10", "amplitude=2e154"], "mass")):
+    for command, pairs, column in (
+            ("solve", ["amplitude=1e150"], "energy"),
+            ("solve", ["amplitude=1e80"], "energy"),
+            ("solve", ["center=-10", "amplitude=2e154"], "mass"),
+            ("study", ["study=stability", "center=-20", "amplitude=2e154"],
+             "H^1 x L^2_mu size")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run("solve", "--out", str(tmp_path / "x"),
+            assert run(command, "--out", str(tmp_path / "x"),
                        *overrides(*pairs)) == 4, pairs
         assert (f"numerical failure: non-finite recorded {column} at step 0"
                 in capsys.readouterr().err), pairs
@@ -299,7 +300,7 @@ def test_oversize_configs_exit_2(tmp_path):
     """Each size a config drives passes one rule against its ceiling before
     anything is allocated or stepped: grid points, interval-table cells,
     lattice sites, mean atom count, fixed atom count, study samples, held
-    records and steps."""
+    records, hat-moment points and steps."""
     for command, pairs, ceiling in (
             ("sample", ["measure=none", "window_hi=1e15"], MAX_ENTRIES),
             ("solve", ["measure=none", "window_hi=1e15"], MAX_ENTRIES),
@@ -313,6 +314,8 @@ def test_oversize_configs_exit_2(tmp_path):
             ("study", ["study=moments", "n_samples=1000000000000"],
              MAX_ENTRIES),
             ("study", ["study=laplace", "n_samples=5000000000"], MAX_ENTRIES),
+            ("study", ["study=moments", "n_samples=1000", "half_length=1e6"],
+             MAX_ENTRIES),
             ("solve", ["dt=1e-300"], MAX_STEPS)):
         proc = run_capped(tmp_path, command, *pairs)
         assert proc.returncode == 2, (command, pairs, proc.stderr)
@@ -357,6 +360,23 @@ def test_field_bin_cut_in_header_exits_2(tmp_path):
         field.write_bytes(data)
         assert run("solve", "--out", str(tmp_path / "x"), "--override",
                    "initial=file", "--override", f"field_file={field}") == 2
+
+
+@pytest.mark.parametrize("command", [["solve"], ["study", "study=eps"],
+                                     ["study", "study=stability"]],
+                         ids=["solve", "study-eps", "study-stability"])
+def test_non_finite_field_file_exits_2(tmp_path, capsys, command):
+    """A field file with a NaN value on the configured grid is refused as
+    input by every command that steps it."""
+    grid = Grid(8.0, 512)
+    values = gaussian_field(grid).values.copy()
+    values[7] = np.nan
+    field = tmp_path / "psi.bin"
+    save_field_bin(WaveField(grid, values), field)
+    argv, *pairs = command
+    assert run(argv, "--out", str(tmp_path / "x"), *overrides(
+        *EDGE_BASE, *pairs, "initial=file", f"field_file={field}")) == 2
+    assert "non-finite value" in capsys.readouterr().err
 
 
 def test_solve_accepts_every_width_the_library_accepts(tmp_path):
@@ -415,7 +435,8 @@ EDGE_BASE = ("half_length=8", "n_points=512", "window_lo=-8", "window_hi=8",
              "t_final=0.02", "eps=0.4", "eps_ladder=0.8,0.4,0.2")
 EDGE_COMMANDS = {"sample": ["sample"], "solve": ["solve"],
                  "study eps": ["study", "study=eps"],
-                 "study stability": ["study", "study=stability"]}
+                 "study stability": ["study", "study=stability"],
+                 "study moments": ["study", "study=moments", "n_samples=1000"]}
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e308")
 # every numeric key, with the overrides under which the commands read it,
 # and the mass of one atom in an atoms file
@@ -424,22 +445,30 @@ EDGE_KEYS = {**{key: [] for key, (tag, _, _) in SCHEMA.items()
              "spacing": ["measure=bernoulli"], "prob": ["measure=bernoulli"],
              "count": ["measure=canonical"],
              "spectral_width": ["initial=random"], "mass": ["measure=file"]}
+# the keys the moment study reads; the other commands run every key
+MOMENT_KEYS = ("seed", "half_length", "n_points", "window_lo", "window_hi",
+               "intensity", "n_samples")
+EDGE_CASES = [(command, key) for key in EDGE_KEYS for command in EDGE_COMMANDS
+              if command != "study moments" or key in MOMENT_KEYS]
 EDGE_PINNED = {
     **{(command, "mass", mass): 2 for command in EDGE_COMMANDS
        for mass in ("1e200", "1e308")},
     ("study eps", "amplitude", "0"): 5,
-    ("study stability", "amplitude", "1e300"): 4}
+    ("study stability", "amplitude", "1e300"): 4,
+    **{("study moments", "half_length", length): 2
+       for length in ("1e300", "1e308")}}
 
 
-@pytest.mark.parametrize("key", EDGE_KEYS)
-@pytest.mark.parametrize("command", EDGE_COMMANDS)
+@pytest.mark.parametrize("command, key", EDGE_CASES,
+                         ids=[f"{command}-{key}" for command, key in EDGE_CASES])
 def test_edge_values_reach_a_documented_exit(tmp_path, capsys, command, key):
     """Each numeric key at each edge value, and an atom whose squared mass
     overflows, either runs or exits with a documented code, with no
     traceback and no numpy warning.  Pinned rows: an overflowing weight is
     a configuration problem, an eps study on a zero start fails its flags,
-    and a stability start with a non-finite record 0 is a numerical
-    failure."""
+    a stability start with a non-finite record 0 is a numerical failure,
+    and a moment study whose hat moments would pass the size ceiling is a
+    configuration problem."""
     argv, *pairs = EDGE_COMMANDS[command]
     atoms = tmp_path / "atoms.json"
     codes = {}

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sprinkled_nls.errors import (MAX_ENTRIES, MAX_STEPS, ConfigError,
                                   checked_size)
-from sprinkled_nls.field import (Grid, GriddedDensity, gaussian_field,
-                                 load_field_bin, load_field_csv, random_field)
+from sprinkled_nls.field import (_BIN_MAGIC, Grid, GriddedDensity,
+                                 gaussian_field, load_field_bin,
+                                 load_field_csv, random_field)
 from sprinkled_nls.measure import weight_profile
 from sprinkled_nls.point_process import (AtomicMeasure, load_atoms_json,
                                          sample_bernoulli_crystal)
@@ -61,7 +64,15 @@ def test_input_checks_raise_config_error(check):
     ("psi.csv", "x,re,im\n-8,zero,0\n"),
     ("psi.csv", "x,re,im\n-8,0,0\n-4,0\n"),
     ("psi.csv", "x,re,im\n-8,0,0\n0,0,0\n1,0,0\n4,0,0\n"),
+    ("psi.csv", "x,re,im\n-8,0,0\n-4,nan,0\n0,0,0\n4,0,0\n"),
+    ("psi.csv", "x,re,im\n-8,0,0\n-4,0,0\n0,0,-inf\n4,0,0\n"),
     ("psi.bin", "not a field"),
+    pytest.param("psi.bin", _BIN_MAGIC + struct.pack("<dQ", 8.0, 4)
+                 + np.array([0, np.nan, 0, 0], "<c16").tobytes(),
+                 id="psi.bin-nan"),
+    pytest.param("psi.bin", _BIN_MAGIC + struct.pack("<dQ", 8.0, 4)
+                 + np.array([0, 0, complex(0, np.inf), 0], "<c16").tobytes(),
+                 id="psi.bin-inf"),
     ("atoms.json", "{not json"),
     ("atoms.json", '{"window": "ab", "atoms": []}'),
     ("atoms.json", '{"window": {"lo": -1}, "atoms": []}'),
@@ -71,9 +82,12 @@ def test_input_checks_raise_config_error(check):
 ])
 def test_loaders_raise_config_error(tmp_path, name, text):
     """A loader refuses a file its parser cannot read, as well as one
-    whose values fail a check."""
+    whose values fail a check: a field file's values must be finite."""
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     load = {".csv": load_field_csv, ".bin": load_field_bin,
             ".json": load_atoms_json}[path.suffix]
     with pytest.raises(ConfigError):

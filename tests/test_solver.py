@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import drain, record_steps as schedule
 from sprinkled_nls import rng
 from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
-from sprinkled_nls.errors import (BlowUpError, ConfigError,
+from sprinkled_nls.errors import (MAX_ENTRIES, BlowUpError, ConfigError,
                                   OracleInstabilityError)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
                                  free_propagator, gaussian_field, l2_norm,
@@ -71,15 +72,16 @@ def test_size_rule_runs_before_the_first_step(grid, monkeypatch):
 
 
 def test_refused_record_array_builds_nothing():
-    """The size rule admits the record array from its record count, so a
-    refused run of 1e7 steps allocates no record schedule (152.7 MiB of
-    step indices if it did) before the refusal."""
+    """``evolve`` admits its state array from its record count, so a refused
+    run of 1e7 steps allocates no record schedule (152.7 MiB of step indices
+    if it did) before the refusal."""
     grid = Grid(16.0, 512)
     params = SolverParams(dt=1e-7, t_final=1.0, record_every=1)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="record entries"):
-            evolve_many([gaussian_field(grid)], zero_potential(grid), params)
+            evolve(gaussian_field(grid), zero_potential(grid), params,
+                   measure=no_atoms(grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,7 +165,7 @@ def test_record_array_rows(grid, n_steps, every, record_steps):
     every_step = evolve(psi0, pot, SolverParams(dt=1e-2,
                                                 t_final=n_steps * 1e-2,
                                                 record_every=1), measure=mu)
-    assert list(traj.params.record_steps) == record_steps
+    assert schedule(traj.params) == record_steps
     assert traj.states.shape == (len(record_steps), grid.n)
     assert not traj.states.flags.writeable
     assert traj.grid == grid
@@ -222,7 +224,7 @@ def test_blow_up_reports_the_step_a_drifting_bump_overflows():
     psi0 = WaveField(grid, bump.values * np.exp(40j * grid.x))
     with pytest.raises(BlowUpError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
-        evolve_many([psi0], pot, SolverParams(dt=0.1, t_final=1.0))
+        drain([psi0], pot, SolverParams(dt=0.1, t_final=1.0))
     assert info.value.step == 3
 
 
@@ -275,7 +277,7 @@ def test_fused_steps_match_the_four_fft_strang_step(grid, n_steps, every,
               *(random_field(grid, rng.generator(k)) for k in range(2))]
     params = SolverParams(dt=2e-3, t_final=n_steps * 2e-3,
                           record_every=every)
-    for psi0, states in zip(starts, evolve_many(starts, pot, params)):
+    for psi0, states in zip(starts, drain(starts, pot, params)):
         np.testing.assert_array_equal(states[0], psi0.values)
         expect = four_fft_strang(psi0, pot, params.dt, record_steps)
         assert states.shape == expect.shape
@@ -297,8 +299,8 @@ def test_transforms_per_call(grid, monkeypatch, n_starts):
     mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
     pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
     n_steps, records = 10, 5  # records at steps 0, 3, 6, 9 and 10
-    stack = evolve_many([gaussian_field(grid)] * n_starts, pot,
-                        SolverParams(dt=1e-2, t_final=0.1, record_every=3))
+    stack = drain([gaussian_field(grid)] * n_starts, pot,
+                  SolverParams(dt=1e-2, t_final=0.1, record_every=3))
     assert stack.shape == (n_starts, records, grid.n)
     assert counts["fft"] + counts["ifft"] == 1 + 2 * n_steps + (records - 1)
 
@@ -317,15 +319,16 @@ def test_stack_rows_equal_single_runs_bit_for_bit():
     assert np.count_nonzero(pot.values) > 0.9 * grid.n
     starts = [random_field(grid, rng.generator(k)) for k in range(8)]
     params = SolverParams(dt=1e-3, t_final=0.01, record_every=5)
-    stacked = evolve_many(starts, pot, params)
+    stacked = drain(starts, pot, params)
     assert stacked.shape[0] == len(starts)
-    assert not stacked.flags.writeable
     for psi0, block in zip(starts, stacked):
         alone = evolve(psi0, pot, params, measure=mu)
         np.testing.assert_array_equal(block, alone.states)
 
 
 def test_evolve_many_input_checks(grid):
+    """The starts, their grid and the (B, N) stack's size are checked when
+    ``evolve_many`` is called, before any record is asked for."""
     params = SolverParams(dt=1e-2, t_final=0.02)
     with pytest.raises(ValueError, match="at least one"):
         evolve_many([], zero_potential(grid), params)
@@ -333,6 +336,9 @@ def test_evolve_many_input_checks(grid):
     with pytest.raises(ValueError, match="must share a grid"):
         evolve_many([gaussian_field(grid), other], zero_potential(grid),
                     params)
+    too_many = [gaussian_field(grid)] * (MAX_ENTRIES // grid.n + 1)
+    with pytest.raises(ConfigError, match="stack entries"):
+        evolve_many(too_many, zero_potential(grid), params)
 
 
 @pytest.mark.parametrize("n_finite", [0, 1], ids=["alone", "between_finite"])
@@ -343,8 +349,7 @@ def test_blow_up_in_one_row_stops_the_stack(grid, n_finite):
     finite = [gaussian_field(grid)] * n_finite
     starts = finite + [bad] + finite
     with pytest.raises(BlowUpError) as info:
-        evolve_many(starts, zero_potential(grid),
-                    SolverParams(dt=1e-2, t_final=0.1))
+        drain(starts, zero_potential(grid), SolverParams(dt=1e-2, t_final=0.1))
     assert info.value.step == 1
 
 

@@ -1,13 +1,13 @@
-import gc
 import json
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import drain, record_steps
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.errors import MAX_STEPS, ConfigError
+from sprinkled_nls.errors import MAX_STEPS, BlowUpError, ConfigError
 from sprinkled_nls.field import (Grid, WaveField, gaussian_field, hat_moments,
                                  random_field, sobolev_norm)
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
@@ -93,30 +93,50 @@ def test_eps_ladder_halves_exactly(unit_atom, monkeypatch):
                                            record_every=10))
 
 
-def test_eps_study_runs_each_width_once_holding_two(monkeypatch):
-    """A ladder of m rungs makes exactly m + 1 runs, coarse to fine, and
-    each run's records are dropped once the next width has been compared
-    with it: at every run at most one earlier run is still alive."""
-    alive_at_call, results, dts = [], [], []
+def test_eps_study_steps_each_width_once_holding_no_records(monkeypatch):
+    """A ladder of m rungs makes exactly m + 1 runs, each drained once to
+    its last record, and the study holds no run's records: its traced peak
+    stays below one run's (R, N) record array."""
+    runs = []
 
     def tracked(starts, potential, params):
-        dts.append(params.dt)
-        gc.collect()
-        alive_at_call.append(sum(r() is not None for r in results))
-        out = solver.evolve_many(starts, potential, params)
-        results.append(weakref.ref(out))
-        return out
+        steps = []
+        runs.append((params.dt, record_steps(params), steps))
+        for step, block in solver.evolve_many(starts, potential, params):
+            steps.append(step)
+            yield step, block
 
     monkeypatch.setattr(studies, "evolve_many", tracked)
     g = Grid(8.0, 1024)
     mu = AtomicMeasure((-8.0, 8.0), np.array([0.3]), np.array([1.0]))
-    rep = eps_convergence_study(
-        gaussian_field(g), mu, (0.4, 0.2, 0.1),
-        SolverParams(dt=1e-3, t_final=0.05, record_every=10))
-    assert len(alive_at_call) == 4
-    assert dts == sorted(dts, reverse=True)
-    assert max(alive_at_call) <= 1
+    params = SolverParams(dt=1e-3, t_final=0.1, record_every=1)
+    one_run = len(record_steps(params)) * g.n * 16  # 1.7 MB of records
+    tracemalloc.start()
+    try:
+        rep = eps_convergence_study(gaussian_field(g), mu, (0.4, 0.2, 0.1),
+                                    params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == len({dt for dt, _, _ in runs}) == 4
+    assert all(steps == expected for _, expected, steps in runs)
+    assert peak < one_run
     assert rep.passed()
+
+
+def test_eps_study_checks_record_0_before_stepping(no_step):
+    """A start with a NaN has a NaN record-0 distance, so the study stops at
+    step 0 without stepping any width."""
+    g = Grid(8.0, 1024)
+    values = gaussian_field(g).values.copy()
+    values[100] = np.nan
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.3]), np.array([1.0]))
+    with pytest.raises(BlowUpError,
+                       match=r"recorded H\^1 distance at step 0 ") as info:
+        eps_convergence_study(WaveField(g, values), mu, (0.4, 0.2, 0.1),
+                              SolverParams(dt=1e-3, t_final=0.05,
+                                           record_every=10))
+    assert info.value.step == 0
 
 
 def test_eps_step_ceiling_checked_before_any_run(grid, unit_atom,
@@ -208,8 +228,8 @@ def test_real_start_and_its_conjugate_step_to_the_same_rows(grid, unit_atom):
     stack steps a real start and its conjugate to equal rows, bit for bit."""
     psi0 = gaussian_field(grid)
     pot = truncated_potential(unit_atom, grid, 0.2, "fully_truncated")
-    rows = solver.evolve_many([psi0, WaveField(grid, np.conj(psi0.values))],
-                              pot, STABILITY_PARAMS)
+    rows = drain([psi0, WaveField(grid, np.conj(psi0.values))], pot,
+                 STABILITY_PARAMS)
     np.testing.assert_array_equal(rows[0], rows[1])
 
 
@@ -243,7 +263,7 @@ def test_stability_real_start_matches_the_full_stack(grid, unit_atom):
 
     g = random_field(grid, generator(seed))
     starts = [psi0.values] + [psi0.values + d * g.values for d in deltas]
-    runs = solver.evolve_many(
+    runs = drain(
         [WaveField(grid, v) for v in starts + [np.conj(v) for v in starts]],
         truncated_potential(unit_atom, grid, 0.2, "fully_truncated"),
         STABILITY_PARAMS)
@@ -291,6 +311,23 @@ def _moment_fields(grid):
 def test_moment_validation():
     with pytest.raises(ValueError):
         moment_study(Grid(32.0, 1024), 999, 0)
+
+
+def test_moment_weight_table_passes_the_size_rule(monkeypatch):
+    """A sweep chunk's N_k^2 table, one row per sample and one column per
+    hat-moment integer, is refused before the first sample is drawn when
+    it would pass the size ceiling."""
+    def wide(f):
+        ks = np.arange(-2_000_000, 2_000_001)
+        return ks, np.zeros(ks.size)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sampled before the size rule")
+
+    monkeypatch.setattr(studies, "hat_moments", wide)
+    monkeypatch.setattr(studies, "poisson_sweep", no_sweep)
+    with pytest.raises(ConfigError, match="weight table entries"):
+        moment_study(Grid(16.0, 512), 1000, 0)
 
 
 def test_moment_default_profiles_pass():
