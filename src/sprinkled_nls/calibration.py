@@ -16,8 +16,9 @@ import numpy as np
 from . import rng as _rng
 from .constants import CALIBRATION
 from .diagnostics import tail_norms
-from .field import (Grid, WaveField, free_propagator, gaussian_field, l2_norm,
-                    lp_project, random_field, sobolev_norm, sup_norm)
+from .field import (Grid, WaveField, free_propagator, gaussian_field,
+                    hat_pairing, l2_norm, lp_project, random_field,
+                    sobolev_norm, sup_norm)
 from .measure import block_norm, chi, weight_profile, weighted_l2_norm
 from .mollify import mollified_density
 from .point_process import sample_poisson
@@ -87,9 +88,10 @@ def measure_norm_equivalence(n_cases: int) -> tuple[float, float]:
     lo, hi = np.inf, 0.0
     for mu in _sweep_measures((-32.0, 32.0), SEED + 3, n_cases):
         profile = weight_profile(mu)
+        l2mu = hat_pairing(grid, profile.nk_squared)
         for width in (1.0, 4.0):
             f = random_field(grid, gen, spectral_width=width)
-            ratio = (block_norm(f, profile) / weighted_l2_norm(f, profile)) ** 2
+            ratio = (block_norm(f, profile) / weighted_l2_norm(f, l2mu)) ** 2
             lo, hi = min(lo, ratio), max(hi, ratio)
     return lo, hi
 

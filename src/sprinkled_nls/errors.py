@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the one size rule.
 
 Every array a config sizes (grid points, lattice sites, interval-table
-cells, drawn atoms, samples, hat-moment points, stacked starts, held
-records) and the step count of a run pass ``checked_size`` against a
-ceiling stated here, before anything is allocated or stepped."""
+cells, drawn atoms, samples, hat-moment points, interpolation points,
+stacked starts, held records) and the step count of a run pass
+``checked_size`` against a ceiling stated here, before anything is allocated
+or stepped."""
 
 # ceiling on the step count of one run: over 100x the largest run in use (the
 # default eps study's finest width steps 64,000 times)

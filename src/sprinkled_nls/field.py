@@ -35,8 +35,12 @@ __all__ = [
     "sobolev_norm",
     "lp_project",
     "free_propagator",
+    "InterpolationPoints",
+    "interpolation_points",
     "evaluate_at",
     "hat_moments",
+    "HatPairing",
+    "hat_pairing",
     "load_field_csv",
     "save_field_bin",
     "load_field_bin",
@@ -80,6 +84,21 @@ class Grid:
     def xi(self) -> np.ndarray:
         """Angular frequencies pi*m/L in FFT ordering."""
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
+
+    @cached_property
+    def xi_squared(self) -> np.ndarray:
+        """xi^2, the multiplier of the free flight and the kinetic energy."""
+        return _readonly(self.xi**2)
+
+    def sobolev_weights(self, s: float) -> np.ndarray:
+        """(1 + xi^2)^s; for s = 1 and s = -1, the weights of the recorded
+        H^1 and H^-1 norms, kept on the grid from their first use."""
+        if s not in (1.0, -1.0):
+            return (1.0 + self.xi_squared) ** s
+        kept = self.__dict__.setdefault("_sobolev_weights", {})
+        if s not in kept:
+            kept[s] = _readonly((1.0 + self.xi_squared) ** s)
+        return kept[s]
 
 
 @dataclass(frozen=True)
@@ -158,7 +177,7 @@ def sobolev_norm(f: WaveField, s: float) -> float:
     if not (-2.0 <= s <= 2.0):
         raise ValueError("s must lie in [-2, 2]")
     fhat = f.spectrum
-    weight = (1.0 + f.grid.xi**2) ** s
+    weight = f.grid.sobolev_weights(s)
     return float(np.sqrt(np.sum(weight * (fhat.real**2 + fhat.imag**2))
                          * f.grid.dx / f.grid.n))
 
@@ -174,29 +193,40 @@ def lp_project(f: WaveField, n_cut: float) -> WaveField:
 
 def free_propagator(f: WaveField, t: float) -> WaveField:
     """Exact free evolution: spectral multiplication by exp(-i t xi^2)."""
-    return WaveField(f.grid, np.fft.ifft(f.spectrum
-                                         * np.exp(-1j * t * f.grid.xi**2)))
+    return WaveField(f.grid, np.fft.ifft(
+        f.spectrum * np.exp(-1j * t * f.grid.xi_squared)))
 
 
-def _trig_sum(coeffs: np.ndarray, first: int, half_length: float,
-              points) -> np.ndarray:
-    """sum_j coeffs_j z^(first + j) at each point x, z = exp(i pi (x + L) / L),
-    for K coefficients, K a power of two.
-
-    The phase factors as z^(first + aB + b) = z^first (z^B)^a z^b with B about
-    sqrt(K).  The powers z^b and (z^B)^a are running products of three
-    exponentials per point, so M points cost O(M sqrt(K)) products and M
-    small (1 x B) by (B x K/B) products instead of M K exponentials.  The
-    products stay per point: one (M x B) product is large enough for BLAS to
-    spread over threads, whose wake-up costs more than the product here.
-    """
-    k = coeffs.size
+def _trig_tables(half_length: float, k: int, first: int,
+                 points) -> tuple[np.ndarray, np.ndarray]:
+    """The power tables that ``_trig_sum`` reads for K = k coefficients from
+    z^first at each point x, z = exp(i pi (x + L) / L): ``low`` holds z^b
+    for b < B and ``high`` z^(first + aB) for a < K/B, B about sqrt(K).
+    Both are running products of three exponentials per point, so M points
+    cost O(M sqrt(K)) products instead of M K exponentials."""
     b = 1 << (k.bit_length() // 2)
     s = (np.asarray(points, dtype=float).ravel() + half_length) * (np.pi / half_length)
     low = _powers(np.exp(1j * s), b)
     high = _powers(np.exp(1j * b * s), k // b) * np.exp(1j * first * s)[:, None]
-    return np.sum(high * (low[:, None, :] @ coeffs.reshape(k // b, b).T)[:, 0],
-                  axis=1)
+    return _readonly(low), _readonly(high)
+
+
+def _trig_sum(coeffs: np.ndarray, low: np.ndarray,
+              high: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j z^(first + j) at each point of prebuilt
+    ``_trig_tables`` for K coefficients, K a power of two.
+
+    The phase factors as z^(first + aB + b) = z^first (z^B)^a z^b, so each
+    point costs one small (1 x B) by (B x K/B) product, and tables built once
+    serve every coefficient vector at the same points.  The products stay
+    per point: one (M x B) by (B x K/B) product is large enough for BLAS to
+    spread over threads, whose wake-up costs more than the product here (on
+    a 2-core host the default solve took 190 ms with it against 180 ms per
+    point, medians of 11 alternating runs).
+    """
+    b = low.shape[1]
+    terms = (low[:, None, :] @ coeffs.reshape(-1, b).T)[:, 0]
+    return np.sum(np.multiply(high, terms, out=terms), axis=1)
 
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
@@ -207,15 +237,85 @@ def _powers(z: np.ndarray, count: int) -> np.ndarray:
     return np.cumprod(out, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class InterpolationPoints:
+    """Points with the ``_trig_tables`` that ``evaluate_at`` reads there on
+    one grid, built once for points that serve many fields."""
+
+    grid: Grid
+    low: np.ndarray
+    high: np.ndarray
+
+
+def interpolation_points(grid: Grid, points) -> InterpolationPoints:
+    """The points' tables for the grid's N coefficients from frequency index
+    -N/2, after their b + N/b <= 3 sqrt(N) entries per point pass the size
+    rule."""
+    n = grid.n
+    checked_size("interpolation entries (points x trig-sum terms)",
+                 np.size(points) * 3 * n**0.5, MAX_ENTRIES)
+    return InterpolationPoints(grid, *_trig_tables(grid.half_length, n,
+                                                   -(n // 2), points))
+
+
 def evaluate_at(f: WaveField, points) -> np.ndarray:
     """Trigonometric-interpolant values at arbitrary points in [-L, L).
 
     Exact for band-limited fields; reproduces grid-node values to roundoff.
+    ``points`` are positions, or their ``interpolation_points`` on f's grid.
     Returns a 1-d complex array, one value per point.
     """
+    if not isinstance(points, InterpolationPoints):
+        points = interpolation_points(f.grid, points)
+    elif points.grid != f.grid:
+        raise ValueError("interpolation points belong to another grid")
+    coeffs = np.fft.fftshift(f.spectrum)
+    coeffs /= f.grid.n
+    return _trig_sum(coeffs, points.low, points.high)
+
+
+def _hat_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The hat moments' integers ks = floor(-L) .. ceil(L) and the hat ends
+    xs = ks[0] - 1 .. ks[-1] + 1 clipped to [-L, L], once the trig-sum
+    tables over xs pass the size rule."""
+    half_length = grid.half_length
+    # b + N/b <= 3 sqrt(N) table entries at each of <= 2L + 5 points
+    checked_size("hat-moment entries (points x trig-sum terms)",
+                 (2 * float(half_length) + 5) * 3 * grid.n**0.5, MAX_ENTRIES)
+    ks = np.arange(np.floor(-half_length), np.ceil(half_length) + 1)
+    xs = np.clip(np.arange(ks[0] - 1, ks[-1] + 2), -half_length, half_length)
+    return ks, xs
+
+
+def _hat_theta(grid: Grid) -> np.ndarray:
+    """theta_d = pi d / L for d = 0 .. N-1, with theta_0 = inf, which drops
+    d = 0 from the sums over 1 / theta_d."""
+    theta = (np.pi / grid.half_length) * np.arange(grid.n)
+    theta[0] = np.inf
+    return theta
+
+
+def _square_coefficients(f: WaveField) -> np.ndarray:
+    """2N g_d for d = 0 .. N-1, where |p|^2 = sum_{|d| < N} g_d e_d for the
+    trigonometric interpolant p of f and e_d = exp(i theta_d (x + L)).
+
+    |p|^2 has frequencies |d| <= N - 1, so its coefficients come alias-free
+    from the 2N-point grid; it is real, so g_-d = conj(g_d) and d >= 0
+    suffices.
+    """
     n = f.grid.n
-    return _trig_sum(np.fft.fftshift(f.spectrum) / n, -(n // 2),
-                     f.grid.half_length, points)
+    fhat = f.spectrum
+    p = np.zeros(2 * n, dtype=np.complex128)
+    p[: n // 2] = fhat[: n // 2]
+    p[-(n // 2):] = fhat[n // 2:]
+    np.fft.ifft(p, out=p)
+    p *= 2.0
+    # squared in place and freed before the rFFT: one 2N buffer at a time
+    np.square(p.real, out=p.real)
+    np.square(p.imag, out=p.imag)
+    square = p.real + p.imag
+    del p
+    return np.fft.rfft(square)[:n]
 
 
 def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
@@ -224,33 +324,25 @@ def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
 
     Every k whose hat meets (-L, L) is listed, so sum_k h_k = ||f||^2 and any
     piecewise-linear w with nodes at the integers pairs exactly:
-    int |p|^2 w = sum_k w(k) h_k.  |p|^2 = sum_d g_d e_d has frequencies
-    |d| <= N - 1, so its coefficients come alias-free from the 2N-point grid
-    (e_d = exp(i theta_d (x + L)), theta_d = pi d / L).  With the
-    antiderivatives G = g_0 x + sum_{d != 0} g_d e_d / (i theta_d) and
+    int |p|^2 w = sum_k w(k) h_k.  With the coefficients g_d of |p|^2
+    (``_square_coefficients``) and the antiderivatives
+    G = g_0 x + sum_{d != 0} g_d e_d / (i theta_d) and
     H = g_0 x^2 / 2 - sum_{d != 0} g_d e_d / theta_d^2, each hat integral is
     a second difference of H over its support clipped to [-L, L], plus
     one-sided G terms where it is clipped; exact for any L, integer or not.
+    This forward map builds its trig-sum tables on each call; one set of
+    weights paired with many fields is ``hat_pairing``.
     """
     n, half_length = f.grid.n, f.grid.half_length
-    # _trig_sum's b + 2N/b <= 3 sqrt(N) entries at each of <= 2L + 5 points
-    checked_size("hat-moment entries (points x trig-sum terms)",
-                 (2 * float(half_length) + 5) * 3 * n**0.5, MAX_ENTRIES)
-    fhat = f.spectrum
-    pad = np.zeros(2 * n, dtype=np.complex128)
-    pad[: n // 2] = fhat[: n // 2]
-    pad[-(n // 2):] = fhat[n // 2:]
-    p = 2.0 * np.fft.ifft(pad)
-    # |p|^2 is real, so g_-d = conj(g_d): keep d = 0 .. N-1 and double d > 0
-    g = np.fft.rfft(p.real**2 + p.imag**2)[:n] / (2 * n)
+    ks, xs = _hat_points(f.grid)
+    # keep d = 0 .. N-1 and double d > 0
+    g = _square_coefficients(f) / (2 * n)
     g0 = g[0].real
-    theta = (np.pi / half_length) * np.arange(n)
-    theta[0] = np.inf  # drops d = 0 from both sums
+    theta = _hat_theta(f.grid)
     # at x = -L and x = L every e_d is 1, so G there needs no evaluation
     g_end = 2.0 * float(np.sum(g.imag / theta))
-    ks = np.arange(np.floor(-half_length), np.ceil(half_length) + 1)
-    xs = np.clip(np.arange(ks[0] - 1, ks[-1] + 2), -half_length, half_length)
-    hx = 0.5 * g0 * xs**2 - 2.0 * _trig_sum(g / theta**2, 0, half_length, xs).real
+    hx = 0.5 * g0 * xs**2 - 2.0 * _trig_sum(
+        g / theta**2, *_trig_tables(half_length, n, 0, xs)).real
     # G terms have zero coefficients unless the point is clipped to +-L,
     # where g0 x + g_end is exact
     gx = g0 * xs + g_end
@@ -258,6 +350,64 @@ def hat_moments(f: WaveField) -> tuple[np.ndarray, np.ndarray]:
     h = (hx[a] - 2.0 * hx[b] + hx[d] + 2.0 * gx[b] * (xs[b] - ks)
          - gx[a] * (xs[a] - ks + 1.0) + gx[d] * (ks + 1.0 - xs[d]))
     return ks.astype(np.int64), h
+
+
+@dataclass(frozen=True, eq=False)
+class HatPairing:
+    """A ``hat_pairing`` functional on one grid: its coefficients of the
+    interleaved real and imaginary parts of ``_square_coefficients``."""
+
+    grid: Grid
+    coefficients: np.ndarray
+
+    def __call__(self, f: WaveField) -> float:
+        """sum_k w_k h_k(f) from one 2N-point IFFT, one rFFT and one dot
+        product."""
+        if f.grid != self.grid:
+            raise ValueError("the pairing belongs to another grid")
+        return float(self.coefficients
+                     @ _square_coefficients(f).view(np.float64))
+
+
+def hat_pairing(grid: Grid, weight_at) -> HatPairing:
+    """The functional f -> sum_k w_k h_k(f), w_k = weight_at(k) at the
+    integers k of ``hat_moments``, built once for a grid and its weights.
+
+    The hat moments are a fixed linear map of the coefficients g_d of |p|^2,
+    so the pairing is one real-linear functional of them,
+
+        alpha g_0 + sum_{d >= 1} (A_d Re g_d + B_d Im g_d),
+
+    the adjoint of ``hat_moments``.  Carried back through h's second
+    differences and clipped G terms, the weights become u and v at the hat
+    ends xs: sum_k w_k h_k = sum_j (u_j H(x_j) + v_j G(x_j)).  Then
+    alpha = u . xs^2 / 2 + v . xs, A_d = -2 Re S_d / theta_d^2 and
+    B_d = 2 Im S_d / theta_d^2 + 2 (sum_j v_j) / theta_d, where
+    S_d = sum_j u_j z_j^d is the adjoint of the trig sum over xs: one
+    (N/B x P) by (P x B) product of its tables.
+    """
+    n = grid.n
+    ks, xs = _hat_points(grid)
+    w = np.asarray(weight_at(ks.astype(np.int64)), dtype=float)
+    a, b, d = slice(None, -2), slice(1, -1), slice(2, None)
+    u, v = np.zeros(xs.size), np.zeros(xs.size)
+    u[a] += w
+    u[b] -= 2.0 * w
+    u[d] += w
+    v[b] += 2.0 * w * (xs[b] - ks)
+    v[a] -= w * (xs[a] - ks + 1.0)
+    v[d] += w * (ks + 1.0 - xs[d])
+    low, high = _trig_tables(grid.half_length, n, 0, xs)
+    # einsum's own loops, not BLAS: a threaded GEMM here, taken once per
+    # run, would add OpenBLAS's thread buffers, about 0.7 MiB of peak RSS
+    s = np.einsum("ma,mb->ab", u[:, None] * high, low).ravel()
+    theta = _hat_theta(grid)
+    coefficients = np.empty((n, 2))
+    coefficients[:, 0] = -2.0 * s.real / theta**2
+    coefficients[:, 1] = 2.0 * s.imag / theta**2 + 2.0 * float(np.sum(v)) / theta
+    coefficients[0, 0] = 0.5 * float(u @ xs**2) + float(v @ xs)
+    # _square_coefficients gives 2N g_d
+    return HatPairing(grid, _readonly(coefficients.ravel() / (2 * n)))
 
 
 # --- serialization ---

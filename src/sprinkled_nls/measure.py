@@ -19,7 +19,10 @@ Because w is the sum of hats N_k^2 hat(x - k), the weighted norm over
 [-L, L) is the exact pairing sum_k N_k^2 h_k of the profile with the hat
 moments h_k of |f|^2 (``field.hat_moments``, for the trigonometric
 interpolant of f).  The moments depend on the field only, so one set serves
-every profile.
+every profile.  The other way round, the pairing of one profile with many
+fields is the adjoint of that map (``field.hat_pairing``): one fixed linear
+functional of the coefficients of |f|^2, built once per grid and profile,
+so each norm costs a 2N-point IFFT, an rFFT and one dot product.
 
 The sup is the max-plus form of the L^1 distance transform (Felzenszwalb and
 Huttenlocher, "Distance transforms of sampled functions", 2012).  Over a
@@ -54,7 +57,7 @@ import numpy as np
 
 from .bump import raw_bump
 from .errors import MAX_ENTRIES, ConfigError, checked_size
-from .field import WaveField, hat_moments
+from .field import HatPairing, WaveField, hat_pairing
 from .payload import write_csv
 from .point_process import AtomicMeasure, PoissonBatch
 
@@ -175,15 +178,19 @@ def chi(x, k: int) -> np.ndarray:
     return out
 
 
-def weighted_l2_norm(f: WaveField, profile: WeightProfile) -> float:
+def weighted_l2_norm(f: WaveField,
+                     weight: WeightProfile | HatPairing) -> float:
     """Weighted norm ( int_{-L}^{L} |p|^2 w dx )^(1/2) of the trigonometric
-    interpolant p of f against the profile's weight w, exact to roundoff.
+    interpolant p of f against a profile's weight w, exact to roundoff.
 
     w = sum_k N_k^2 hat(x - k), so the integral is the pairing
-    sum_k N_k^2 h_k with the hat moments h_k of |p|^2 (``hat_moments``).
+    sum_k N_k^2 h_k with the hat moments h_k of |p|^2.  ``weight`` is the
+    profile, or its ``hat_pairing(grid, profile.nk_squared)`` on f's grid,
+    which a profile builds on each call.
     """
-    ks, h = hat_moments(f)
-    return float(np.sqrt(profile.nk_squared(ks) @ h))
+    if isinstance(weight, WeightProfile):
+        weight = hat_pairing(f.grid, weight.nk_squared)
+    return float(np.sqrt(weight(f)))
 
 
 def block_norm(f: WaveField, profile: WeightProfile) -> float:

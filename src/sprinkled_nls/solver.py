@@ -37,10 +37,13 @@ start run alone bit for bit.
 The kernel yields each record as it reaches it, record 0 (a copy of the
 starts) before the first step, and keeps none; each caller checks
 (``check_record``) its numbers from a record as it arrives.  ``evolve``, the
-one builder of a ``Trajectory``, takes record 0's diagnostics, then drains
-the kernel into an (R, N) state array and takes each other row's on a
-short-lived ``WaveField`` whose cached spectrum serves them all: a whole
-block at once would hold (R, N) temporaries per diagnostic.
+one builder of a ``Trajectory``, copies each record into an (R, N) state
+array and takes its diagnostics as it arrives, on a short-lived
+``WaveField`` whose cached spectrum serves them all, so a non-finite
+diagnostic stops the kernel at that record's step.  Everything those
+diagnostics read that does not depend on the state (the weighted norm's
+linear functional, the atoms' interpolation tables, the grid's xi^2 and
+Sobolev weights) is built once per run, not once per record.
 """
 from __future__ import annotations
 
@@ -50,11 +53,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .diagnostics import energy, mass, quartic_measure_integral
+from .diagnostics import domain_atoms, energy, mass, quartic_measure_integral
 from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError, ConfigError,
                      OracleInstabilityError, checked_size)
-from .field import (Grid, GriddedDensity, WaveField, save_field_bin,
-                    sobolev_norm, sup_norm)
+from .field import (Grid, GriddedDensity, WaveField, hat_pairing,
+                    save_field_bin, sobolev_norm, sup_norm)
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv
@@ -139,8 +142,8 @@ def _strang_records(starts, potential, params):
     v = np.array([psi0.values for psi0 in starts])
     yield 0, v.copy()
     grid, dt, n_steps = potential.grid, params.dt, params.n_steps
-    half = np.exp(-0.5j * dt * grid.xi**2)
-    full = np.exp(-1j * dt * grid.xi**2)
+    half = np.exp(-0.5j * dt * grid.xi_squared)
+    full = np.exp(-1j * dt * grid.xi_squared)
     support = np.flatnonzero(potential.values)
     kick = -2j * dt * potential.values[support]
     # an overflow is reported by the finiteness check, not by numpy; set per
@@ -158,10 +161,16 @@ def _strang_records(starts, potential, params):
         if not np.isfinite(v).all():
             raise BlowUpError(step, step * dt)
         if step % params.record_every == 0 or step == n_steps:
-            record = v * half
-            np.fft.ifft(record, axis=1, out=record)
-            yield step, record
+            yield step, _states(v, half)
         v *= full
+
+
+def _states(v: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """A new array of the states one free half step past the Fourier-space
+    stack v, made here so that the suspended kernel holds no reference to
+    it while the caller reads it."""
+    out = v * half
+    return np.fft.ifft(out, axis=1, out=out)
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
@@ -171,38 +180,38 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     The weight profile of the measure and the (R, N) state array pass the
     size rule before the first step.  The weighted norm (and, when
     record_quartic is on, the quartic measure integral) is recorded against
-    the measure; an empty measure gives the baseline weight 4.  Each row
-    passes ``check_record`` as it is computed, record 0 before the first
-    step; the quartic column is NaN and unchecked when record_quartic is off.
+    the measure; an empty measure gives the baseline weight 4.  What the
+    diagnostics read of the grid and the measure is built once, before the
+    first step: the weighted norm's ``hat_pairing`` and the interpolation
+    tables of the atoms in the domain.  Each row passes ``check_record`` as
+    its record arrives, record 0 before the first step, so a non-finite
+    diagnostic stops the run at its record's step; the quartic column is NaN
+    and unchecked when record_quartic is off.
     """
+    grid = potential.grid
     profile = weight_profile(measure)
     n_records = len(range(0, params.n_steps, params.record_every)) + 1
     checked_size("record entries (records x grid points)",
-                 n_records * potential.grid.n, MAX_ENTRIES)
+                 n_records * grid.n, MAX_ENTRIES)
+    l2mu = hat_pairing(grid, profile.nk_squared)
+    atoms = domain_atoms(grid, measure) if params.record_quartic else None
     checked = DIAGNOSTIC_COLUMNS[1:None if params.record_quartic else -1]
-
-    def row(step, state: np.ndarray) -> tuple:
-        s = WaveField(potential.grid, state)
+    states = np.empty((n_records, grid.n), dtype=np.complex128)
+    steps, rows = [], []
+    for step, block in evolve_many([psi0], potential, params):
+        states[len(steps)] = block[0]
+        s = WaveField(grid, block[0])
+        del block  # s holds a copy; freed before the diagnostics are taken
         with np.errstate(over="ignore", invalid="ignore"):
             values = (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
-                      weighted_l2_norm(s, profile), sup_norm(s),
-                      quartic_measure_integral(s, measure)
+                      weighted_l2_norm(s, l2mu), sup_norm(s),
+                      quartic_measure_integral(s, atoms)
                       if params.record_quartic else np.nan)
         check_record(step, params.dt, checked, values)
-        return values
-
-    records = evolve_many([psi0], potential, params)
-    rows = [row(0, next(records)[1][0])]
-    states = np.empty((n_records, potential.grid.n), dtype=np.complex128)
-    states[0] = psi0.values
-    steps = [0]
-    for step, block in records:
-        states[len(steps)] = block[0]
         steps.append(step)
-    del block  # dies before the other rows' diagnostics are taken
+        rows.append(values)
     states.setflags(write=False)
-    rows += map(row, steps[1:], states[1:])
-    return Trajectory(params, potential.grid, states,
+    return Trajectory(params, grid, states,
                       {"t": np.array(steps) * params.dt,
                        **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))})
 
@@ -227,7 +236,7 @@ def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
         raise ValueError("potential and initial data must share a grid")
     n = max(1, int(np.ceil(t_final / dt)))
     h = t_final / n
-    xi2 = grid.xi**2
+    xi2 = grid.xi_squared
     vpot = potential.values
 
     def rhs(v):

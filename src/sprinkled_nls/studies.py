@@ -17,8 +17,8 @@ import numpy as np
 from . import rng as _rng
 from .constants import CALIBRATION
 from .errors import MAX_ENTRIES, ConfigError, checked_size
-from .field import (Grid, WaveField, gaussian_field, hat_moments, l2_norm,
-                    random_field, sobolev_norm)
+from .field import (Grid, WaveField, gaussian_field, hat_moments,
+                    hat_pairing, l2_norm, random_field, sobolev_norm)
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv, write_json
@@ -150,7 +150,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
     # every width meets every rule before any width steps
     setups = [(truncated_potential(mu, psi0.grid, eps, variant), params_at(eps))
               for eps in widths]
-    profile = weight_profile(mu)
+    l2mu = hat_pairing(psi0.grid, weight_profile(mu).nk_squared)
 
     runs = [evolve_many([psi0], potential, p) for potential, p in setups]
     sups = np.zeros((3, len(ladder)))  # D's H^1, L^2_mu and sum parts
@@ -159,7 +159,7 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
             diffs = (WaveField(psi0.grid, a[0] - b[0])
                      for (_, a), (_, b) in zip(records, records[1:]))
             h1s, l2s = np.array([(sobolev_norm(d, 1.0),
-                                  weighted_l2_norm(d, profile))
+                                  weighted_l2_norm(d, l2mu))
                                  for d in diffs]).T
         # a record's step is counted in the coarsest run's dt, params.dt
         check_record(records[0][0], params.dt,
@@ -226,7 +226,7 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     conjugates = [np.conj(v) for v in starts]
     real = np.array_equal(psi0.values, conjugates[0])
     potential = truncated_potential(mu, psi0.grid, eps, variant)
-    profile = weight_profile(mu)
+    l2mu = hat_pairing(psi0.grid, weight_profile(mu).nk_squared)
     stepped = [WaveField(psi0.grid, v)
                for v in starts + conjugates[1 if real else 0:]]
     n = len(starts)
@@ -240,7 +240,7 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
         with np.errstate(over="ignore", invalid="ignore"):
             # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row, read for
             # every run through rows
-            sizes = np.array([sobolev_norm(f, 1.0) * weighted_l2_norm(f, profile)
+            sizes = np.array([sobolev_norm(f, 1.0) * weighted_l2_norm(f, l2mu)
                               for f in (WaveField(psi0.grid, s)
                                         for s in block)])[rows]
             # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
@@ -308,14 +308,17 @@ def moment_study(grid: Grid | None = None, n_samples: int = 20000,
     }
     checked_size("sample table entries (samples x profiles)",
                  n_samples * len(profiles), MAX_ENTRIES)
+    # N_k^2 is read at the hat moments' 2 ceil(L) + 1 integers, so the grid
+    # alone sizes the chunk weight table (a float product overflows to inf)
+    checked_size("weight table entries (chunk samples x integers)",
+                 SWEEP_CHUNK * (2.0 * float(np.ceil(grid.half_length)) + 1),
+                 MAX_ENTRIES)
     names = list(profiles)
     denoms = np.array([l2_norm(f) ** 2 for f in profiles.values()])
     # ||f||_{L^2_mu}^2 = sum_k N_k^2 h_k(f): the hat moments of each field
     # are computed once and paired with every sampled profile
     pairs = [hat_moments(f) for f in profiles.values()]
     ks = pairs[0][0]
-    checked_size("weight table entries (chunk samples x integers)",
-                 SWEEP_CHUNK * ks.size, MAX_ENTRIES)
     origin = int(np.flatnonzero(ks == 0)[0])  # ks spans [-L, L], so holds 0
     moments = np.array([h for _, h in pairs])
 

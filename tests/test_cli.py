@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sprinkled_nls import cli
+from sprinkled_nls import cli, studies
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import MAX_ENTRIES, MAX_STEPS, ConfigError
@@ -322,6 +322,20 @@ def test_oversize_configs_exit_2(tmp_path):
         assert re.search(rf"^config error: .*ceiling \[0, {ceiling}\]$",
                          proc.stderr, re.MULTILINE), (command, pairs,
                                                       proc.stderr)
+
+
+def test_moment_weight_table_exits_2_before_hat_moments(tmp_path, capsys,
+                                                       monkeypatch):
+    """A tiny grid on a long domain: the chunk weight table, 64 x (2 ceil(L)
+    + 1) entries, is refused before the study computes a hat moment."""
+    def unused(f):
+        raise AssertionError("hat moments computed before the size rule")
+
+    monkeypatch.setattr(studies, "hat_moments", unused)
+    assert run("study", "--out", str(tmp_path / "x"),
+               *overrides("study=moments", "n_samples=1000", "n_points=4",
+                          "half_length=2e6")) == 2
+    assert "weight table entries" in capsys.readouterr().err
 
 
 def test_heavy_atom_sample_writes_window_rows(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls.field import Grid, evaluate_at, l2_norm, random_field
+from sprinkled_nls.field import (Grid, WaveField, evaluate_at, hat_moments,
+                                 hat_pairing, l2_norm, random_field)
 from sprinkled_nls.measure import (_interval_masses, block_norm, chi,
                                    save_profile_csv, weight_profile,
                                    weighted_l2_norm)
@@ -345,6 +346,35 @@ def test_weighted_norm_matches_gauss_legendre(half_length, n, seed):
     profile = weight_profile(mu)
     want = _gauss_legendre_weighted_sq(f, profile)
     assert weighted_l2_norm(f, profile) ** 2 == pytest.approx(want, rel=1e-12)
+
+
+@given(half_length=st.sampled_from([4.0, 7.6, 10.3, 16.0]),
+       n=st.sampled_from([4, 8, 64, 512]), seed=st.integers(0, 2**32 - 1),
+       inner=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 6.0)),
+                      max_size=6),
+       ends=st.sets(st.sampled_from([-1.0, 1.0])))
+@example(half_length=16.0, n=512, seed=0, inner=[], ends=set())
+@example(half_length=16.0, n=64, seed=1, inner=[], ends={-1.0, 1.0})
+@example(half_length=7.6, n=8, seed=2, inner=[(0.1, 3.0)], ends={-1.0, 1.0})
+def test_hat_pairing_matches_the_forward_map(half_length, n, seed, inner,
+                                             ends):
+    """The weighted norm's functional, built once for a grid and a profile,
+    is the adjoint of the hat moments: it equals sum_k N_k^2 h_k(f) on any
+    field, for integer and non-integer L, an empty measure, and heavy atoms
+    at +-L, where the clipped G terms carry weight."""
+    grid = Grid(half_length, n)
+    gen = rng.generator(seed)
+    f = WaveField(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    mu = atoms(*[half_length * y for y, _ in inner],
+               *[half_length * e for e in sorted(ends)],
+               masses=[m for _, m in inner] + [4.0] * len(ends),
+               window=(-half_length, half_length))
+    profile = weight_profile(mu)
+    ks, h = hat_moments(f)
+    want = profile.nk_squared(ks) @ h
+    assert hat_pairing(grid, profile.nk_squared)(f) == pytest.approx(
+        want, rel=1e-13)
+    assert weighted_l2_norm(f, profile) ** 2 == pytest.approx(want, rel=1e-13)
 
 
 # --- serialization ---

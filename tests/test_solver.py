@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import drain, record_steps as schedule
-from sprinkled_nls import rng
+from sprinkled_nls import rng, solver
 from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
 from sprinkled_nls.errors import (MAX_ENTRIES, BlowUpError, ConfigError,
                                   OracleInstabilityError)
@@ -245,6 +245,33 @@ def test_non_finite_diagnostic_is_a_blow_up(grid):
                 as info, np.errstate(over="ignore", invalid="ignore"):
             evolve(psi0, pot, params, measure=mu)
         assert info.value.step == 0
+
+
+def test_non_finite_diagnostic_stops_the_kernel_at_its_record(
+        grid, monkeypatch):
+    """A diagnostic that turns non-finite at a later record, while every
+    state stays finite, raises at that record's step, and the kernel is
+    asked for no record past it."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.0]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    params = SolverParams(dt=1e-2, t_final=0.1, record_every=2)
+    sup_calls, reached = [], []
+
+    def sup_nan_at_record_2(f):
+        sup_calls.append(f)
+        return np.nan if len(sup_calls) == 3 else sup_norm(f)
+
+    def watched(starts, potential, params):
+        for step, block in evolve_many(starts, potential, params):
+            reached.append(step)
+            yield step, block
+
+    monkeypatch.setattr(solver, "sup_norm", sup_nan_at_record_2)
+    monkeypatch.setattr(solver, "evolve_many", watched)
+    with pytest.raises(BlowUpError, match=r"recorded sup at step 4 ") as info:
+        evolve(gaussian_field(grid), pot, params, measure=mu)
+    assert info.value.step == 4
+    assert reached == [0, 2, 4]
 
 
 def four_fft_strang(psi0, potential, dt, record_steps):

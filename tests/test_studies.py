@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.rng import generator, substream_seed
 from sprinkled_nls.solver import SolverParams
-from sprinkled_nls import solver, studies
+from sprinkled_nls import field, solver, studies
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
                                    laplace_study, moment_study,
                                    save_report_csv, save_report_json,
@@ -298,6 +299,43 @@ def test_studies_compute_only_what_they_report(monkeypatch):
     stability_study(gaussian_field(g), mu, 0.2, (1e-2, 1e-3), params, 0)
 
 
+@pytest.mark.parametrize("record_every", [1, 5], ids=["21_records",
+                                                     "5_records"])
+def test_runs_build_their_diagnostics_plan_once(monkeypatch, record_every):
+    """What a record's diagnostics read of the grid and the measure is
+    built once per run, whatever its record count: the weighted norm's
+    functional once per evolve, stability and eps call, the atom tables
+    once per evolve, and trig-sum tables once per builder."""
+    built = Counter()
+
+    def counted(module, name):
+        def wrapper(*args, _fn=getattr(module, name), **kwargs):
+            built[name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (solver, studies):
+        counted(module, "hat_pairing")
+    counted(solver, "domain_atoms")
+    counted(field, "_trig_tables")
+    g = Grid(8.0, 1024)
+    mu = AtomicMeasure((-8.0, 8.0), np.array([-1.0, 0.3]),
+                       np.array([1.0, 2.0]))
+    params = SolverParams(dt=1e-3, t_final=0.02, record_every=record_every)
+    psi0 = gaussian_field(g)
+    for run, plan in (
+            (lambda: solver.evolve_regularized(psi0, mu, 0.2, params),
+             {"hat_pairing": 1, "domain_atoms": 1, "_trig_tables": 2}),
+            (lambda: stability_study(psi0, mu, 0.2, (1e-2, 1e-3), params, 0),
+             {"hat_pairing": 1, "_trig_tables": 1}),
+            (lambda: eps_convergence_study(psi0, mu, (0.4, 0.2, 0.1),
+                                           params),
+             {"hat_pairing": 1, "_trig_tables": 1})):
+        built.clear()
+        run()
+        assert built == plan
+
+
 # name -> (sigma, center) of the moment study's three Gaussian fields
 MOMENT_FIELDS = {"gauss_wide": (1.0, 0.0), "gauss_shifted": (0.5, 3.0),
                  "gauss_broad": (2.0, -5.0)}
@@ -315,19 +353,16 @@ def test_moment_validation():
 
 def test_moment_weight_table_passes_the_size_rule(monkeypatch):
     """A sweep chunk's N_k^2 table, one row per sample and one column per
-    hat-moment integer, is refused before the first sample is drawn when
-    it would pass the size ceiling."""
-    def wide(f):
-        ks = np.arange(-2_000_000, 2_000_001)
-        return ks, np.zeros(ks.size)
+    hat-moment integer, is sized from the grid, 64 x (2 ceil(L) + 1)
+    entries, and refused before the hat moments are computed or the first
+    sample is drawn when it would pass the size ceiling."""
+    def unused(*args, **kwargs):
+        raise AssertionError("computed before the size rule")
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("sampled before the size rule")
-
-    monkeypatch.setattr(studies, "hat_moments", wide)
-    monkeypatch.setattr(studies, "poisson_sweep", no_sweep)
+    monkeypatch.setattr(studies, "hat_moments", unused)
+    monkeypatch.setattr(studies, "poisson_sweep", unused)
     with pytest.raises(ConfigError, match="weight table entries"):
-        moment_study(Grid(16.0, 512), 1000, 0)
+        moment_study(Grid(2e6, 4), 1000, 0)
 
 
 def test_moment_default_profiles_pass():
