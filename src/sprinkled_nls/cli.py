@@ -16,6 +16,10 @@ input file that cannot be read, an output directory that cannot be made).
 any other exception is a bug and propagates.  An empty ``variant`` or a zero
 ``n_samples`` is not passed on, so the called function's own default
 applies.
+
+``solve`` with ``snapshots`` writes each record's state file as the record
+passes its checks, so a run that exits 4 leaves the files of the records
+before the failure, and no manifest (an earlier run's is removed first).
 """
 from __future__ import annotations
 
@@ -37,7 +41,8 @@ from .payload import write_json
 from .point_process import (AtomicMeasure, load_atoms_json, sample_bernoulli_crystal,
                             sample_comb, sample_fixed_count, sample_poisson,
                             save_atoms_csv, save_atoms_json)
-from .solver import SolverParams, evolve_regularized, save_snapshots, save_trajectory_csv
+from .solver import (SolverParams, evolve_regularized, save_trajectory_csv,
+                     snapshot_name)
 from .studies import (eps_convergence_study, laplace_study, moment_study,
                       save_report_csv, save_report_json, stability_study)
 
@@ -231,13 +236,19 @@ def cmd_solve(cfg: dict) -> int:
     grid = _grid(cfg)
     mu = _build_measure(cfg)
     psi0 = _build_initial(cfg, grid)
-    traj = evolve_regularized(psi0, mu, cfg["eps"], _solver_params(cfg),
-                              **_if_set(cfg, "variant"))
-    save_trajectory_csv(traj, out / "diagnostics.csv")
-    outputs = [out / "diagnostics.csv"]
+    snap_dir = None
     if cfg["snapshots"]:
         snap_dir = out / "snapshots"
-        outputs += [snap_dir / p for p in save_snapshots(traj, snap_dir)]
+        # snapshots are rewritten as records arrive, so an earlier run's
+        # manifest would vouch for files that a run exiting 4 replaced
+        (out / "manifest.json").unlink(missing_ok=True)
+    traj = evolve_regularized(psi0, mu, cfg["eps"], _solver_params(cfg),
+                              **_if_set(cfg, "variant"), snapshots=snap_dir)
+    save_trajectory_csv(traj, out / "diagnostics.csv")
+    outputs = [out / "diagnostics.csv"]
+    if snap_dir is not None:
+        outputs += [snap_dir / snapshot_name(i)
+                    for i in range(len(traj.diagnostics["t"]))]
     _write_manifest(out, "solve", cfg, outputs)
     drift = abs(traj.diagnostics["mass"][-1] - traj.diagnostics["mass"][0])
     print(f"solved to t = {traj.diagnostics['t'][-1]:g} "

@@ -2,16 +2,17 @@
 
 Every array a config sizes (grid points, lattice sites, interval-table
 cells, drawn atoms, samples, hat-moment points, interpolation points,
-stacked starts, held records) and the step count of a run pass
+stacked starts), a run's record entries (the points its record diagnostics
+read and its snapshots write) and the step count of a run pass
 ``checked_size`` against a ceiling stated here, before anything is allocated
 or stepped."""
 
 # ceiling on the step count of one run: over 100x the largest run in use (the
 # default eps study's finest width steps 64,000 times)
 MAX_STEPS = 10**7
-# ceiling on the entries of any one array a config sizes: 1 GiB of float64;
-# the largest array in use, the default solve's 101 x 4096 records, is 324x
-# below it
+# ceiling on the entries of any one array a config sizes, and on a run's
+# record entries: 1 GiB of float64; the default solve's 101 records x 4096
+# points, which no run holds at once, are 324x below it
 MAX_ENTRIES = 2**27
 
 

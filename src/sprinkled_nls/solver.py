@@ -37,10 +37,12 @@ start run alone bit for bit.
 The kernel yields each record as it reaches it, record 0 (a copy of the
 starts) before the first step, and keeps none; each caller checks
 (``check_record``) its numbers from a record as it arrives.  ``evolve``, the
-one builder of a ``Trajectory``, copies each record into an (R, N) state
-array and takes its diagnostics as it arrives, on a short-lived
-``WaveField`` whose cached spectrum serves them all, so a non-finite
-diagnostic stops the kernel at that record's step.  Everything those
+one builder of a ``Trajectory``, holds no state array either: it takes each
+record's diagnostics as it arrives, on a short-lived ``WaveField`` whose
+cached spectrum serves them all, writes the record's snapshot file once
+they pass, when asked to, and drops it before asking for the next, keeping
+only the last.  So a non-finite diagnostic stops the kernel at that record's
+step, with the files of the records before it on disk.  Everything those
 diagnostics read that does not depend on the state (the weighted norm's
 linear functional, the atoms' interpolation tables, the grid's xi^2 and
 Sobolev weights) is built once per run, not once per record.
@@ -71,7 +73,7 @@ __all__ = [
     "evolve_regularized",
     "oracle_evolve",
     "save_trajectory_csv",
-    "save_snapshots",
+    "snapshot_name",
 ]
 
 DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "h1", "l2mu", "sup", "quartic")
@@ -105,14 +107,19 @@ class SolverParams:
 
 @dataclass
 class Trajectory:
-    """Recorded states and per-record diagnostics of one run: ``states`` is
-    a read-only (R, N) array, one row per record, and ``diagnostics["t"]``
-    holds the record times."""
+    """Per-record diagnostics of one run and its last record: ``final`` is
+    the state at the last step, and ``diagnostics["t"]`` holds the record
+    times."""
 
     params: SolverParams
     grid: Grid
-    states: np.ndarray
     diagnostics: dict[str, np.ndarray]
+    final: WaveField
+
+
+def snapshot_name(i: int) -> str:
+    """The file name of record i's snapshot."""
+    return f"state_{i:06d}.bin"
 
 
 def check_record(step: int, dt: float, names: Sequence[str], values) -> None:
@@ -174,32 +181,37 @@ def _states(v: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
-           *, measure: AtomicMeasure) -> Trajectory:
-    """One run with its per-record diagnostics.
+           *, measure: AtomicMeasure, snapshots=None) -> Trajectory:
+    """One run with its per-record diagnostics, and with record i written
+    to ``snapshots / snapshot_name(i)`` when a directory is given.
 
-    The weight profile of the measure and the (R, N) state array pass the
+    The weight profile of the measure and the run's record entries pass the
     size rule before the first step.  The weighted norm (and, when
     record_quartic is on, the quartic measure integral) is recorded against
     the measure; an empty measure gives the baseline weight 4.  What the
     diagnostics read of the grid and the measure is built once, before the
     first step: the weighted norm's ``hat_pairing`` and the interpolation
     tables of the atoms in the domain.  Each row passes ``check_record`` as
-    its record arrives, record 0 before the first step, so a non-finite
-    diagnostic stops the run at its record's step; the quartic column is NaN
-    and unchecked when record_quartic is off.
+    its record arrives, record 0 before the first step, and only then is the
+    record's snapshot written, so a non-finite diagnostic stops the run at
+    its record's step with the files of the earlier records written; the
+    quartic column is NaN and unchecked when record_quartic is off.
     """
     grid = potential.grid
     profile = weight_profile(measure)
+    # bounds the points that the record diagnostics read and that the
+    # snapshots write
     n_records = len(range(0, params.n_steps, params.record_every)) + 1
     checked_size("record entries (records x grid points)",
                  n_records * grid.n, MAX_ENTRIES)
     l2mu = hat_pairing(grid, profile.nk_squared)
     atoms = domain_atoms(grid, measure) if params.record_quartic else None
     checked = DIAGNOSTIC_COLUMNS[1:None if params.record_quartic else -1]
-    states = np.empty((n_records, grid.n), dtype=np.complex128)
+    if snapshots is not None:
+        snapshots = Path(snapshots)
+        snapshots.mkdir(parents=True, exist_ok=True)
     steps, rows = [], []
     for step, block in evolve_many([psi0], potential, params):
-        states[len(steps)] = block[0]
         s = WaveField(grid, block[0])
         del block  # s holds a copy; freed before the diagnostics are taken
         with np.errstate(over="ignore", invalid="ignore"):
@@ -208,20 +220,24 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
                       quartic_measure_integral(s, atoms)
                       if params.record_quartic else np.nan)
         check_record(step, params.dt, checked, values)
+        if snapshots is not None:
+            save_field_bin(s, snapshots / snapshot_name(len(steps)))
         steps.append(step)
         rows.append(values)
-    states.setflags(write=False)
-    return Trajectory(params, grid, states,
+    return Trajectory(params, grid,
                       {"t": np.array(steps) * params.dt,
-                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))})
+                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))},
+                      s)
 
 
 def evolve_regularized(psi0: WaveField, mu: AtomicMeasure, eps: float,
                        params: SolverParams,
-                       variant: str = "fully_truncated") -> Trajectory:
-    """Evolution under the width-eps potential built from an atomic measure."""
+                       variant: str = "fully_truncated", *,
+                       snapshots=None) -> Trajectory:
+    """Evolution under the width-eps potential built from an atomic measure;
+    ``snapshots`` is passed to ``evolve``."""
     potential = truncated_potential(mu, psi0.grid, eps, variant)
-    return evolve(psi0, potential, params, measure=mu)
+    return evolve(psi0, potential, params, measure=mu, snapshots=snapshots)
 
 
 def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
@@ -229,12 +245,17 @@ def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
     """Independent reference: classical 4th-order fixed-step integration of
     the spectral method-of-lines system; returns the final state.
 
+    A dt that is not positive and finite is a ValueError, and the step
+    count ceil(t_final / dt) passes the size rule, before the first step.
     The run aborts if the conserved norm drifts by more than 10%.
     """
     grid = psi0.grid
     if potential.grid != grid:
         raise ValueError("potential and initial data must share a grid")
-    n = max(1, int(np.ceil(t_final / dt)))
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"oracle dt must be positive and finite, got {dt}")
+    n = max(1, checked_size("oracle step count t_final / dt",
+                            np.ceil(t_final / dt), MAX_STEPS))
     h = t_final / n
     xi2 = grid.xi_squared
     vpot = potential.values
@@ -265,15 +286,3 @@ def oracle_evolve(psi0: WaveField, potential: GriddedDensity, t_final: float,
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv(path, traj.diagnostics)
-
-
-def save_snapshots(traj: Trajectory, out_dir) -> list[str]:
-    """Binary field snapshot per record; returns the written file names."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, row in enumerate(traj.states):
-        name = f"state_{i:06d}.bin"
-        save_field_bin(WaveField(traj.grid, row), out / name)
-        names.append(name)
-    return names

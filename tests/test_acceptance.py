@@ -108,7 +108,7 @@ def test_criterion_03_free_gaussian_closed_form():
                                            record_quartic=False))
     z = 1.0 + 4.0j
     exact = np.exp(-grid.x**2 / z) / np.sqrt(z)
-    err = l2_norm(WaveField(grid, traj.states[-1] - exact))
+    err = l2_norm(WaveField(grid, traj.final.values - exact))
     elapsed = time.monotonic() - t0
     ok = err < 1e-10 and elapsed < 5.0
     _line(3, "free evolution closed form", ok,
@@ -128,7 +128,7 @@ def test_criterion_04_solver_cross_validation():
                                            record_quartic=False),
                               "fully_truncated")
     ref = oracle_evolve(psi0, pot, 0.1, dt=grid.dx**2 / 64.0)
-    dist = l2_norm(WaveField(grid, traj.states[-1] - ref.values))
+    dist = l2_norm(WaveField(grid, traj.final.values - ref.values))
     elapsed = time.monotonic() - t0
     ok = dist < 1e-6 and elapsed < 30.0
     _line(4, "split step vs independent integrator", ok,

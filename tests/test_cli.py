@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sprinkled_nls import cli, studies
+from sprinkled_nls import cli, solver, studies
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
 from sprinkled_nls.errors import MAX_ENTRIES, MAX_STEPS, ConfigError
@@ -141,6 +141,34 @@ def test_solve_snapshots_written(tmp_path):
     assert len(snaps) == 2  # t = 0 and t = 0.05
     doc = json.loads((out / "manifest.json").read_text())
     assert "state_000000.bin" in doc["outputs"]
+
+
+def test_solve_snapshots_stop_at_a_non_finite_record(tmp_path, capsys,
+                                                     monkeypatch):
+    """A diagnostic that turns non-finite at record 3 exits 4, leaving the
+    snapshots of records 0, 1 and 2 and no manifest, not even the one an
+    earlier run into the same directory wrote."""
+    pairs = ("half_length=8", "n_points=512", "measure=none", "eps=0.4",
+             "dt=0.01", "record_every=1", "snapshots=true")
+    out = tmp_path / "snap"
+    assert run("solve", "--out", str(out),
+               *overrides(*pairs, "t_final=0.01")) == 0
+    assert (out / "manifest.json").is_file()
+    sup_norm, sup_calls = solver.sup_norm, []
+
+    def sup_nan_at_record_3(f):
+        sup_calls.append(f)
+        return np.nan if len(sup_calls) == 4 else sup_norm(f)
+
+    monkeypatch.setattr(solver, "sup_norm", sup_nan_at_record_3)
+    capsys.readouterr()
+    assert run("solve", "--out", str(out),
+               *overrides(*pairs, "t_final=0.05")) == 4
+    assert ("numerical failure: non-finite recorded sup at step 3 "
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        f"state_{i:06d}.bin" for i in range(3)]
+    assert not (out / "manifest.json").exists()
 
 
 def test_solve_reruns_byte_identical(tmp_path):

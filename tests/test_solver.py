@@ -17,7 +17,7 @@ from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
 from sprinkled_nls.solver import (MAX_STEPS, SolverParams, evolve, evolve_many,
                                   evolve_regularized, oracle_evolve,
-                                  save_snapshots, save_trajectory_csv)
+                                  save_trajectory_csv, snapshot_name)
 
 
 def zero_potential(grid):
@@ -72,9 +72,9 @@ def test_size_rule_runs_before_the_first_step(grid, monkeypatch):
 
 
 def test_refused_record_array_builds_nothing():
-    """``evolve`` admits its state array from its record count, so a refused
-    run of 1e7 steps allocates no record schedule (152.7 MiB of step indices
-    if it did) before the refusal."""
+    """``evolve`` admits its record entries from its record count, so a
+    refused run of 1e7 steps allocates no record schedule (152.7 MiB of step
+    indices if it did) before the refusal."""
     grid = Grid(16.0, 512)
     params = SolverParams(dt=1e-7, t_final=1.0, record_every=1)
     tracemalloc.start()
@@ -88,13 +88,57 @@ def test_refused_record_array_builds_nothing():
     assert peak < 2**20
 
 
+def test_default_solve_holds_no_state_array():
+    """A run at the default solve's size (71 atoms, 101 records of 4096
+    points) keeps only its last record: its traced peak stays below 2 MiB,
+    where a (101, 4096) complex state array alone takes 6.3 MiB."""
+    grid = Grid(32.0, 4096)
+    mu = sample_poisson((-32.0, 32.0), 1.0, rng.substream_seed(0, 0))
+    assert mu.count == 71
+    params = SolverParams(dt=1e-3, t_final=1.0)
+    psi0 = gaussian_field(grid)
+    tracemalloc.start()
+    try:
+        traj = evolve_regularized(psi0, mu, 0.2, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.diagnostics["t"]) == 101
+    assert peak < 2 * 2**20
+
+
+def test_snapshots_stream_as_records_arrive(tmp_path, grid, monkeypatch):
+    """Snapshot i is on disk before the kernel is asked for record i + 1,
+    and no later file is, and each file reads back as the kernel's record i
+    bit for bit."""
+    mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
+    pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
+    psi0 = gaussian_field(grid)
+    params = SolverParams(dt=1e-2, t_final=0.1, record_every=3)
+    on_disk = []
+
+    def watched(starts, potential, params):
+        for record in evolve_many(starts, potential, params):
+            yield record
+            on_disk.append(sorted(p.name for p in tmp_path.iterdir()))
+
+    monkeypatch.setattr(solver, "evolve_many", watched)
+    evolve(psi0, pot, params, measure=mu, snapshots=tmp_path)
+    names = [snapshot_name(i) for i in range(len(schedule(params)))]
+    assert on_disk == [names[:i + 1] for i in range(len(names))]
+    records = drain([psi0], pot, params)[0]
+    for name, record in zip(names, records, strict=True):
+        np.testing.assert_array_equal(
+            load_field_bin(tmp_path / name).values, record)
+
+
 def test_zero_potential_matches_free_propagator(grid):
     """With V = 0 the split flow is the exact free flow, step by step."""
     psi0 = random_field(grid, rng.generator(1))
     params = SolverParams(dt=1e-2, t_final=0.1, record_every=10)
     traj = evolve(psi0, zero_potential(grid), params, measure=no_atoms(grid))
     exact = free_propagator(psi0, 0.1)
-    err = l2_norm(WaveField(grid, traj.states[-1] - exact.values))
+    err = l2_norm(WaveField(grid, traj.final.values - exact.values))
     assert err < 1e-13
 
 
@@ -113,8 +157,8 @@ def test_time_reversal_via_conjugation(grid):
     params = SolverParams(dt=1e-3, t_final=0.05, record_every=50)
     fwd = evolve_regularized(gaussian_field(grid), mu, 0.2, params)
     back = evolve_regularized(
-        WaveField(grid, np.conj(fwd.states[-1])), mu, 0.2, params)
-    err = l2_norm(WaveField(grid, np.conj(back.states[-1])
+        WaveField(grid, np.conj(fwd.final.values)), mu, 0.2, params)
+    err = l2_norm(WaveField(grid, np.conj(back.final.values)
                             - gaussian_field(grid).values))
     assert err < 1e-11
 
@@ -128,22 +172,23 @@ def test_splitting_is_second_order(grid):
         params = SolverParams(dt=dt, t_final=t_final, record_every=1000)
         traj = evolve_regularized(gaussian_field(grid), mu, 0.4, params,
                                   "mollified_only")
-        finals.append(traj.states[-1])
+        finals.append(traj.final.values)
     e1 = l2_norm(WaveField(grid, finals[0] - finals[1]))
     e2 = l2_norm(WaveField(grid, finals[1] - finals[2]))
     order = np.log2(e1 / e2)
     assert 1.8 <= order <= 2.2
 
 
-def test_record_schedule(grid):
+def test_record_schedule(tmp_path, grid):
     params = SolverParams(dt=1e-2, t_final=0.1, record_every=3)
     traj = evolve(gaussian_field(grid), zero_potential(grid), params,
-                  measure=no_atoms(grid))
+                  measure=no_atoms(grid), snapshots=tmp_path)
     # records at steps 0, 3, 6, 9 and the final step 10
     np.testing.assert_allclose(traj.diagnostics["t"],
                                [0.0, 0.03, 0.06, 0.09, 0.1],
                                rtol=0, atol=1e-15)
-    assert traj.states.shape == (5, grid.n)
+    assert [len(load_field_bin(p).values)
+            for p in sorted(tmp_path.iterdir())] == [grid.n] * 5
     for c in ("mass", "energy", "h1", "l2mu", "sup", "quartic"):
         assert len(traj.diagnostics[c]) == 5
 
@@ -153,24 +198,28 @@ def test_record_schedule(grid):
     (9, 3, [0, 3, 6, 9]),       # n_steps % record_every == 0
     (4, 1, [0, 1, 2, 3, 4]),
     (4, 20, [0, 4])])
-def test_record_array_rows(grid, n_steps, every, record_steps):
-    """The (R, N) record block holds exactly the recorded steps: each row is
-    bit for bit the state of a run that records every step, so no row is
-    left unwritten, and the last row is the final step."""
+def test_record_array_rows(tmp_path, grid, n_steps, every, record_steps):
+    """A run's snapshots are exactly the recorded steps: each file is bit
+    for bit the state of a run that records every step, so no record is
+    left unwritten, and the last file and the read-only ``final`` are the
+    final step."""
     mu = AtomicMeasure((-8.0, 8.0), np.array([0.5]), np.array([1.0]))
     pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
     psi0 = gaussian_field(grid)
     traj = evolve(psi0, pot, SolverParams(dt=1e-2, t_final=n_steps * 1e-2,
-                                          record_every=every), measure=mu)
-    every_step = evolve(psi0, pot, SolverParams(dt=1e-2,
-                                                t_final=n_steps * 1e-2,
-                                                record_every=1), measure=mu)
+                                          record_every=every), measure=mu,
+                  snapshots=tmp_path)
+    every_step = drain([psi0], pot, SolverParams(dt=1e-2,
+                                                 t_final=n_steps * 1e-2,
+                                                 record_every=1))[0]
+    states = np.array([load_field_bin(p).values
+                       for p in sorted(tmp_path.iterdir())])
     assert schedule(traj.params) == record_steps
-    assert traj.states.shape == (len(record_steps), grid.n)
-    assert not traj.states.flags.writeable
-    assert traj.grid == grid
-    np.testing.assert_array_equal(traj.states, every_step.states[record_steps])
-    np.testing.assert_array_equal(traj.states[-1], every_step.states[-1])
+    assert states.shape == (len(record_steps), grid.n)
+    assert not traj.final.values.flags.writeable
+    assert traj.grid == traj.final.grid == grid
+    np.testing.assert_array_equal(states, every_step[record_steps])
+    np.testing.assert_array_equal(traj.final.values, every_step[-1])
     np.testing.assert_array_equal(traj.diagnostics["t"],
                                   [k * 1e-2 for k in record_steps])
 
@@ -180,10 +229,10 @@ def test_diagnostic_columns_equal_per_field_functions(grid):
     mu = AtomicMeasure((-8.0, 8.0), np.array([-2.0, 0.5, 3.0]),
                        np.array([1.0, 2.0, 1.0]))
     pot = truncated_potential(mu, grid, 0.2, "fully_truncated")
-    traj = evolve(gaussian_field(grid), pot,
-                  SolverParams(dt=1e-3, t_final=0.02, record_every=5),
-                  measure=mu)
-    fields = [WaveField(grid, row) for row in traj.states]
+    params = SolverParams(dt=1e-3, t_final=0.02, record_every=5)
+    traj = evolve(gaussian_field(grid), pot, params, measure=mu)
+    fields = [WaveField(grid, row)
+              for row in drain([gaussian_field(grid)], pot, params)[0]]
     profile = weight_profile(mu)
     expect = {
         "mass": [mass(f) for f in fields],
@@ -332,9 +381,9 @@ def test_transforms_per_call(grid, monkeypatch, n_starts):
     assert counts["fft"] + counts["ifft"] == 1 + 2 * n_steps + (records - 1)
 
 
-def test_stack_rows_equal_single_runs_bit_for_bit():
+def test_stack_rows_equal_single_runs_bit_for_bit(tmp_path):
     """Each row of a stack is the same start run alone, to the last bit:
-    each (R, N) block equals the states of ``evolve`` on its start.
+    each (R, N) block equals the snapshots of ``evolve`` on its start.
 
     About 96 % of the grid is support, so the gathered (8, S) stack is over
     256 KiB: there numpy would elide the temporary of psi * phase and swap
@@ -348,9 +397,11 @@ def test_stack_rows_equal_single_runs_bit_for_bit():
     params = SolverParams(dt=1e-3, t_final=0.01, record_every=5)
     stacked = drain(starts, pot, params)
     assert stacked.shape[0] == len(starts)
-    for psi0, block in zip(starts, stacked):
-        alone = evolve(psi0, pot, params, measure=mu)
-        np.testing.assert_array_equal(block, alone.states)
+    for k, (psi0, block) in enumerate(zip(starts, stacked)):
+        evolve(psi0, pot, params, measure=mu, snapshots=tmp_path / str(k))
+        alone = [load_field_bin(p).values
+                 for p in sorted((tmp_path / str(k)).iterdir())]
+        np.testing.assert_array_equal(block, alone)
 
 
 def test_evolve_many_input_checks(grid):
@@ -393,8 +444,23 @@ def test_oracle_agrees_with_split_solver():
     params = SolverParams(dt=2e-5, t_final=0.05, record_every=2500)
     split = evolve(psi0, pot, params, measure=mu)
     ref = oracle_evolve(psi0, pot, 0.05, dt=grid.dx**2 / 64.0)
-    err = l2_norm(WaveField(grid, split.states[-1] - ref.values))
+    err = l2_norm(WaveField(grid, split.final.values - ref.values))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("dt", [1e-300, 0.0, -1.0, float("nan")])
+def test_oracle_refuses_a_step_it_cannot_run(monkeypatch, dt):
+    """A dt that is not positive and finite, or a step count past the
+    ceiling, is a ValueError before the first right-hand side."""
+    grid = Grid(16.0, 256)
+    psi0, potential = gaussian_field(grid), zero_potential(grid)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("stepped before the step was checked")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    with pytest.raises(ValueError, match="oracle"):
+        oracle_evolve(psi0, potential, 0.05, dt)
 
 
 def test_oracle_detects_unstable_step():
@@ -418,10 +484,13 @@ def test_trajectory_csv_layout(tmp_path, grid):
 
 
 def test_snapshots_round_trip(tmp_path, grid):
-    traj = evolve(gaussian_field(grid), zero_potential(grid),
-                  SolverParams(dt=1e-2, t_final=0.03, record_every=1),
-                  measure=no_atoms(grid))
-    names = save_snapshots(traj, tmp_path / "snaps")
-    assert names == [f"state_{i:06d}.bin" for i in range(len(traj.states))]
+    params = SolverParams(dt=1e-2, t_final=0.03, record_every=1)
+    psi0, potential = gaussian_field(grid), zero_potential(grid)
+    traj = evolve(psi0, potential, params, measure=no_atoms(grid),
+                  snapshots=tmp_path / "snaps")
+    records = drain([psi0], potential, params)[0]
+    names = sorted(p.name for p in (tmp_path / "snaps").iterdir())
+    assert names == [f"state_{i:06d}.bin" for i in range(len(records))]
+    assert names == [snapshot_name(i) for i in range(len(traj.diagnostics["t"]))]
     mid = load_field_bin(tmp_path / "snaps" / names[1])
-    np.testing.assert_array_equal(mid.values, traj.states[1])
+    np.testing.assert_array_equal(mid.values, records[1])
