@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng as _rng
 from .constants import CALIBRATION
-from .diagnostics import tail_norms
+from .diagnostics import tail_norm
 from .field import (Grid, WaveField, free_propagator, gaussian_field,
                     hat_pairing, l2_norm, lp_project, random_field,
                     sobolev_norm, sup_norm)
@@ -134,9 +134,10 @@ def measure_tail_growth() -> float:
         potential = truncated_potential(mu, grid, eps, "fully_truncated")
         h1s, tails = [], []
         for step, block in evolve_many([psi0], potential, params):
+            s = WaveField(grid, block[0])
             with np.errstate(over="ignore", invalid="ignore"):
-                h1 = sobolev_norm(WaveField(grid, block[0]), 1.0)
-                tail = [tail_norms(grid, block, lam)[0] for lam in lams]
+                h1 = sobolev_norm(s, 1.0)
+                tail = [tail_norm(s, lam) for lam in lams]
             check_record(step, params.dt, ("H^1 norm", "tail norm"),
                          (h1, tail))
             h1s.append(h1)

@@ -19,7 +19,8 @@ applies.
 
 ``solve`` with ``snapshots`` writes each record's state file as the record
 passes its checks, so a run that exits 4 leaves the files of the records
-before the failure, and no manifest (an earlier run's is removed first).
+before the failure, and no manifest (an earlier run's manifest and state
+files are removed first).
 """
 from __future__ import annotations
 
@@ -240,8 +241,11 @@ def cmd_solve(cfg: dict) -> int:
     if cfg["snapshots"]:
         snap_dir = out / "snapshots"
         # snapshots are rewritten as records arrive, so an earlier run's
-        # manifest would vouch for files that a run exiting 4 replaced
+        # manifest would vouch for files that a run exiting 4 replaced, and
+        # its later records would outlive a shorter run unlisted
         (out / "manifest.json").unlink(missing_ok=True)
+        for old in snap_dir.glob("state_*.bin"):
+            old.unlink()
     traj = evolve_regularized(psi0, mu, cfg["eps"], _solver_params(cfg),
                               **_if_set(cfg, "variant"), snapshots=snap_dir)
     save_trajectory_csv(traj, out / "diagnostics.csv")

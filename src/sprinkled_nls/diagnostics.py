@@ -31,7 +31,7 @@ __all__ = [
     "DomainAtoms",
     "domain_atoms",
     "quartic_measure_integral",
-    "tail_norms",
+    "tail_norm",
 ]
 
 
@@ -74,26 +74,20 @@ def domain_atoms(grid: Grid, mu: AtomicMeasure) -> DomainAtoms:
                        interpolation_points(grid, mu.positions[inside]))
 
 
-def quartic_measure_integral(f: WaveField,
-                             mu: AtomicMeasure | DomainAtoms) -> float:
-    """int |f|^4 dmu as the exact sum over the atoms in [-L, L]; ``mu`` is
-    the measure, or its ``domain_atoms`` on f's grid."""
-    if isinstance(mu, AtomicMeasure):
-        mu = domain_atoms(f.grid, mu)
-    if not mu.masses.size:
-        return 0.0
-    vals = evaluate_at(f, mu.points)
-    return float(np.dot(mu.masses, np.abs(vals) ** 4))
+def quartic_measure_integral(f: WaveField, atoms: DomainAtoms) -> float:
+    """int |f|^4 dmu as the exact sum over the atoms of mu in [-L, L];
+    ``atoms`` is the measure's ``domain_atoms`` on f's grid, and a field on
+    another grid is a ValueError, also when no atom is in the domain."""
+    vals = evaluate_at(f, atoms.points)
+    return float(np.dot(atoms.masses, np.abs(vals) ** 4))
 
 
-def tail_norms(grid: Grid, states, lam: float) -> np.ndarray:
-    """L^2 norm of (1 - plateau at scale lam) * psi for each row psi of an
-    (R, N) array of states on the grid.
+def tail_norm(f: WaveField, lam: float) -> float:
+    """L^2 norm of (1 - plateau at scale lam) * f.
 
     The mask vanishes for |x| <= 1/lam and equals 1 for |x| >= 2/lam, so the
     value measures mass that has escaped past radius 1/lam.
     """
     if not (0.0 < lam):
         raise ValueError("lam must be positive")
-    mask = 1.0 - cutoff(grid.x, lam)
-    return np.array([l2_norm(WaveField(grid, row * mask)) for row in states])
+    return l2_norm(WaveField(f.grid, f.values * (1.0 - cutoff(f.grid.x, lam))))

@@ -258,16 +258,15 @@ def interpolation_points(grid: Grid, points) -> InterpolationPoints:
                                                    -(n // 2), points))
 
 
-def evaluate_at(f: WaveField, points) -> np.ndarray:
-    """Trigonometric-interpolant values at arbitrary points in [-L, L).
+def evaluate_at(f: WaveField, points: InterpolationPoints) -> np.ndarray:
+    """Trigonometric-interpolant values at points in [-L, L).
 
     Exact for band-limited fields; reproduces grid-node values to roundoff.
-    ``points`` are positions, or their ``interpolation_points`` on f's grid.
-    Returns a 1-d complex array, one value per point.
+    ``points`` are the positions' ``interpolation_points`` on f's grid; a
+    field on another grid is a ValueError.  Returns a 1-d complex array, one
+    value per point.
     """
-    if not isinstance(points, InterpolationPoints):
-        points = interpolation_points(f.grid, points)
-    elif points.grid != f.grid:
+    if points.grid != f.grid:
         raise ValueError("interpolation points belong to another grid")
     coeffs = np.fft.fftshift(f.spectrum)
     coeffs /= f.grid.n

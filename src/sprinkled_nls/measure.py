@@ -57,7 +57,7 @@ import numpy as np
 
 from .bump import raw_bump
 from .errors import MAX_ENTRIES, ConfigError, checked_size
-from .field import HatPairing, WaveField, hat_pairing
+from .field import HatPairing, WaveField
 from .payload import write_csv
 from .point_process import AtomicMeasure, PoissonBatch
 
@@ -178,18 +178,15 @@ def chi(x, k: int) -> np.ndarray:
     return out
 
 
-def weighted_l2_norm(f: WaveField,
-                     weight: WeightProfile | HatPairing) -> float:
+def weighted_l2_norm(f: WaveField, weight: HatPairing) -> float:
     """Weighted norm ( int_{-L}^{L} |p|^2 w dx )^(1/2) of the trigonometric
     interpolant p of f against a profile's weight w, exact to roundoff.
 
     w = sum_k N_k^2 hat(x - k), so the integral is the pairing
     sum_k N_k^2 h_k with the hat moments h_k of |p|^2.  ``weight`` is the
-    profile, or its ``hat_pairing(grid, profile.nk_squared)`` on f's grid,
-    which a profile builds on each call.
+    profile's ``hat_pairing(grid, profile.nk_squared)``, built once for f's
+    grid; a field on another grid is a ValueError.
     """
-    if isinstance(weight, WeightProfile):
-        weight = hat_pairing(f.grid, weight.nk_squared)
     return float(np.sqrt(weight(f)))
 
 

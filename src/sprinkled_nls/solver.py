@@ -58,8 +58,8 @@ import numpy as np
 from .diagnostics import domain_atoms, energy, mass, quartic_measure_integral
 from .errors import (MAX_ENTRIES, MAX_STEPS, BlowUpError, ConfigError,
                      OracleInstabilityError, checked_size)
-from .field import (Grid, GriddedDensity, WaveField, hat_pairing,
-                    save_field_bin, sobolev_norm, sup_norm)
+from .field import (GriddedDensity, WaveField, hat_pairing, save_field_bin,
+                    sobolev_norm, sup_norm)
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv
@@ -112,7 +112,6 @@ class Trajectory:
     times."""
 
     params: SolverParams
-    grid: Grid
     diagnostics: dict[str, np.ndarray]
     final: WaveField
 
@@ -224,7 +223,7 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
             save_field_bin(s, snapshots / snapshot_name(len(steps)))
         steps.append(step)
         rows.append(values)
-    return Trajectory(params, grid,
+    return Trajectory(params,
                       {"t": np.array(steps) * params.dt,
                        **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))},
                       s)

@@ -12,7 +12,7 @@ import numpy as np
 from sprinkled_nls import rng as _rng
 from sprinkled_nls.cli import main as cli_main
 from sprinkled_nls.constants import CALIBRATION
-from sprinkled_nls.diagnostics import quartic_measure_integral
+from sprinkled_nls.diagnostics import domain_atoms, quartic_measure_integral
 from sprinkled_nls.field import (Grid, WaveField, gaussian_field, l2_norm,
                                  random_field)
 from sprinkled_nls.measure import weight_profile
@@ -218,7 +218,7 @@ def test_criterion_09_mollification_consistency():
                          spectral_width=1.0)
         mu = sample_poisson((-14.0, 14.0), 1.0,
                             _rng.substream_seed(0, 2 * i + 1))
-        target = quartic_measure_integral(f, mu)
+        target = quartic_measure_integral(f, domain_atoms(grid, mu))
         gaps = []
         for eps in (0.4, 0.2, 0.1, 0.05):
             pot = truncated_potential(mu, grid, eps, "mollified_only")

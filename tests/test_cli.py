@@ -171,6 +171,26 @@ def test_solve_snapshots_stop_at_a_non_finite_record(tmp_path, capsys,
     assert not (out / "manifest.json").exists()
 
 
+def test_solve_snapshots_rerun_with_fewer_records_leaves_no_stale_file(
+        tmp_path):
+    """A 3-step rerun into the directory of a 5-step run leaves exactly its
+    own four snapshots, each matching its manifest hash: the earlier run's
+    records 4 and 5 are removed, not left unlisted."""
+    pairs = ("half_length=8", "n_points=512", "measure=none", "eps=0.4",
+             "dt=0.01", "record_every=1", "snapshots=true")
+    out = tmp_path / "snap"
+    for t_final in ("0.05", "0.03"):
+        assert run("solve", "--out", str(out),
+                   *overrides(*pairs, f"t_final={t_final}")) == 0
+    names = [f"state_{i:06d}.bin" for i in range(4)]
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == names
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(listed) == sorted(names + ["diagnostics.csv"])
+    for name in names:
+        data = (out / "snapshots" / name).read_bytes()
+        assert hashlib.sha1(data).hexdigest() == listed[name]
+
+
 def test_solve_reruns_byte_identical(tmp_path):
     args = ["--override", "half_length=8", "--override", "n_points=512",
             "--override", "window_lo=-8", "--override", "window_hi=8",

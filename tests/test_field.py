@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 from sprinkled_nls import rng
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField, evaluate_at,
                                  free_propagator, gaussian_field, hat_moments,
-                                 l2_norm, load_field_bin, load_field_csv,
-                                 lp_project, random_field, save_field_bin,
-                                 sobolev_norm, sup_norm)
+                                 interpolation_points, l2_norm, load_field_bin,
+                                 load_field_csv, lp_project, random_field,
+                                 save_field_bin, sobolev_norm, sup_norm)
 
 # frozen: integral of exp(-2 x^2) is sqrt(pi/2)
 GAUSS_MASS = 1.2533141373155003
@@ -81,15 +81,15 @@ def test_sobolev_rejects_out_of_range(gauss):
 
 
 def test_evaluate_at_gaussian(gauss):
-    val = evaluate_at(gauss, np.array([0.3]))[0]
+    val = evaluate_at(gauss, interpolation_points(gauss.grid, [0.3]))[0]
     assert val.real == pytest.approx(0.91393118527122819, rel=1e-12)
     assert abs(val.imag) < 1e-13
 
 
 def test_evaluate_at_reproduces_grid_nodes(gauss):
     idx = [0, 17, 2048, 4095]
-    pts = gauss.grid.x[idx]
-    vals = evaluate_at(gauss, pts)
+    vals = evaluate_at(gauss, interpolation_points(gauss.grid,
+                                                   gauss.grid.x[idx]))
     np.testing.assert_allclose(vals, gauss.values[idx], rtol=0, atol=1e-12)
 
 
@@ -102,8 +102,18 @@ def test_evaluate_at_matches_direct_sum(n):
     pts = np.random.default_rng(n).uniform(-grid.half_length, grid.half_length, 71)
     direct = np.exp(1j * np.outer(pts + grid.half_length, grid.xi)) @ (
         np.fft.fft(f.values) / n)
-    np.testing.assert_allclose(evaluate_at(f, pts), direct, rtol=0,
+    np.testing.assert_allclose(evaluate_at(f, interpolation_points(grid, pts)),
+                               direct, rtol=0,
                                atol=1e-13 * np.max(np.abs(direct)))
+
+
+def test_evaluate_at_rejects_a_field_on_another_grid():
+    """Tables built for one grid's frequencies never read a field on
+    another, even one with as many points."""
+    points = interpolation_points(Grid(8.0, 512), [0.0, 0.3])
+    for other in (Grid(8.0, 1024), Grid(16.0, 512)):
+        with pytest.raises(ValueError, match="another grid"):
+            evaluate_at(gaussian_field(other), points)
 
 
 @pytest.mark.parametrize("half_length", [7.0, 7.6])

@@ -7,7 +7,8 @@ from sprinkled_nls import rng
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.errors import ConfigError
 from sprinkled_nls.field import (Grid, WaveField, evaluate_at, hat_moments,
-                                 hat_pairing, l2_norm, random_field)
+                                 hat_pairing, interpolation_points, l2_norm,
+                                 random_field)
 from sprinkled_nls.measure import (_interval_masses, block_norm, chi,
                                    save_profile_csv, weight_profile,
                                    weighted_l2_norm)
@@ -290,8 +291,14 @@ def test_chi_support_and_sign():
 
 # --- weighted norms ---
 
+def l2mu(f, profile):
+    """The weighted norm of f against the profile, through the profile's
+    pairing on f's grid."""
+    return weighted_l2_norm(f, hat_pairing(f.grid, profile.nk_squared))
+
+
 def test_weighted_norm_single_atom_oracle(gauss, unit_atom):
-    got = weighted_l2_norm(gauss, weight_profile(unit_atom)) ** 2
+    got = l2mu(gauss, weight_profile(unit_atom)) ** 2
     assert got == pytest.approx(GAUSS_UNIT_ATOM_WSQ, rel=1e-7)
     val, _ = quad(lambda x: np.exp(-2 * x * x) * max(4.0, 5.0 - abs(x)),
                   -30.0, 30.0, points=[-1.0, 0.0, 1.0], limit=400)
@@ -300,7 +307,7 @@ def test_weighted_norm_single_atom_oracle(gauss, unit_atom):
 
 def test_weighted_norm_empty_measure_is_doubled_l2(gauss):
     mu = AtomicMeasure((-16.0, 16.0), np.array([]), np.array([]))
-    assert weighted_l2_norm(gauss, weight_profile(mu)) == pytest.approx(
+    assert l2mu(gauss, weight_profile(mu)) == pytest.approx(
         2.0 * l2_norm(gauss), rel=1e-12)
 
 
@@ -308,8 +315,7 @@ def test_weighted_norm_dominates_doubled_l2(gauss):
     """w >= 4 pointwise, so the weighted norm is at least 2 ||f||."""
     for seed in (1, 2, 3):
         mu = sample_poisson((-32.0, 32.0), 1.0, seed)
-        assert (weighted_l2_norm(gauss, weight_profile(mu))
-                >= 2.0 * l2_norm(gauss) - 1e-12)
+        assert l2mu(gauss, weight_profile(mu)) >= 2.0 * l2_norm(gauss) - 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 4, 9])
@@ -317,7 +323,7 @@ def test_block_and_weighted_norms_equivalent(gauss, seed):
     lo, hi = CALIBRATION["norm_equivalence_bracket"]
     mu = sample_poisson((-32.0, 32.0), 1.0, seed)
     profile = weight_profile(mu)
-    ratio = block_norm(gauss, profile) / weighted_l2_norm(gauss, profile)
+    ratio = block_norm(gauss, profile) / l2mu(gauss, profile)
     assert lo <= ratio <= hi
 
 
@@ -330,7 +336,8 @@ def _gauss_legendre_weighted_sq(f, profile, order=24):
     t, wts = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * t).ravel()
-    integrand = np.abs(evaluate_at(f, x)) ** 2 * profile.weight(x)
+    values = evaluate_at(f, interpolation_points(f.grid, x))
+    integrand = np.abs(values) ** 2 * profile.weight(x)
     return float(np.sum((half[:, None] * wts).ravel() * integrand))
 
 
@@ -345,7 +352,7 @@ def test_weighted_norm_matches_gauss_legendre(half_length, n, seed):
     assert mu.count > 5
     profile = weight_profile(mu)
     want = _gauss_legendre_weighted_sq(f, profile)
-    assert weighted_l2_norm(f, profile) ** 2 == pytest.approx(want, rel=1e-12)
+    assert l2mu(f, profile) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 @given(half_length=st.sampled_from([4.0, 7.6, 10.3, 16.0]),
@@ -372,9 +379,20 @@ def test_hat_pairing_matches_the_forward_map(half_length, n, seed, inner,
     profile = weight_profile(mu)
     ks, h = hat_moments(f)
     want = profile.nk_squared(ks) @ h
-    assert hat_pairing(grid, profile.nk_squared)(f) == pytest.approx(
-        want, rel=1e-13)
-    assert weighted_l2_norm(f, profile) ** 2 == pytest.approx(want, rel=1e-13)
+    pairing = hat_pairing(grid, profile.nk_squared)
+    assert pairing(f) == pytest.approx(want, rel=1e-13)
+    assert weighted_l2_norm(f, pairing) ** 2 == pytest.approx(want, rel=1e-13)
+
+
+def test_weighted_norm_rejects_a_field_on_another_grid(unit_atom):
+    """A pairing built on one grid never reads a field on another, whose
+    hat moments belong to other integers and hat ends."""
+    grid = Grid(16.0, 256)
+    pairing = hat_pairing(grid, weight_profile(unit_atom).nk_squared)
+    assert weighted_l2_norm(random_field(grid, rng.generator(0)), pairing) > 0
+    for other in (Grid(16.0, 512), Grid(8.0, 256)):
+        with pytest.raises(ValueError, match="another grid"):
+            weighted_l2_norm(random_field(other, rng.generator(0)), pairing)
 
 
 # --- serialization ---

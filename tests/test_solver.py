@@ -5,13 +5,14 @@ import pytest
 
 from conftest import drain, record_steps as schedule
 from sprinkled_nls import rng, solver
-from sprinkled_nls.diagnostics import energy, mass, quartic_measure_integral
+from sprinkled_nls.diagnostics import (domain_atoms, energy, mass,
+                                       quartic_measure_integral)
 from sprinkled_nls.errors import (MAX_ENTRIES, BlowUpError, ConfigError,
                                   OracleInstabilityError)
 from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
-                                 free_propagator, gaussian_field, l2_norm,
-                                 load_field_bin, random_field, sobolev_norm,
-                                 sup_norm)
+                                 free_propagator, gaussian_field, hat_pairing,
+                                 l2_norm, load_field_bin, random_field,
+                                 sobolev_norm, sup_norm)
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
@@ -217,7 +218,7 @@ def test_record_array_rows(tmp_path, grid, n_steps, every, record_steps):
     assert schedule(traj.params) == record_steps
     assert states.shape == (len(record_steps), grid.n)
     assert not traj.final.values.flags.writeable
-    assert traj.grid == traj.final.grid == grid
+    assert traj.final.grid == grid
     np.testing.assert_array_equal(states, every_step[record_steps])
     np.testing.assert_array_equal(traj.final.values, every_step[-1])
     np.testing.assert_array_equal(traj.diagnostics["t"],
@@ -233,14 +234,15 @@ def test_diagnostic_columns_equal_per_field_functions(grid):
     traj = evolve(gaussian_field(grid), pot, params, measure=mu)
     fields = [WaveField(grid, row)
               for row in drain([gaussian_field(grid)], pot, params)[0]]
-    profile = weight_profile(mu)
+    l2mu = hat_pairing(grid, weight_profile(mu).nk_squared)
+    atoms = domain_atoms(grid, mu)
     expect = {
         "mass": [mass(f) for f in fields],
         "energy": [energy(f, pot) for f in fields],
         "h1": [sobolev_norm(f, 1.0) for f in fields],
-        "l2mu": [weighted_l2_norm(f, profile) for f in fields],
+        "l2mu": [weighted_l2_norm(f, l2mu) for f in fields],
         "sup": [sup_norm(f) for f in fields],
-        "quartic": [quartic_measure_integral(f, mu) for f in fields],
+        "quartic": [quartic_measure_integral(f, atoms) for f in fields],
     }
     for column, values in expect.items():
         np.testing.assert_array_equal(traj.diagnostics[column], values)

@@ -10,7 +10,7 @@ from conftest import drain, record_steps
 from sprinkled_nls.constants import CALIBRATION
 from sprinkled_nls.errors import MAX_STEPS, BlowUpError, ConfigError
 from sprinkled_nls.field import (Grid, WaveField, gaussian_field, hat_moments,
-                                 random_field, sobolev_norm)
+                                 hat_pairing, random_field, sobolev_norm)
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
@@ -268,10 +268,10 @@ def test_stability_real_start_matches_the_full_stack(grid, unit_atom):
         [WaveField(grid, v) for v in starts + [np.conj(v) for v in starts]],
         truncated_potential(unit_atom, grid, 0.2, "fully_truncated"),
         STABILITY_PARAMS)
-    profile = weight_profile(unit_atom)
+    l2mu = hat_pairing(grid, weight_profile(unit_atom).nk_squared)
     n = len(starts)
     sizes = np.array([[sobolev_norm(WaveField(grid, s), 1.0)
-                       * weighted_l2_norm(WaveField(grid, s), profile)
+                       * weighted_l2_norm(WaveField(grid, s), l2mu)
                        for s in states] for states in runs])
     r = [float(np.max([sobolev_norm(WaveField(grid, d), -1.0)
                        for base in (0, n)
@@ -397,9 +397,10 @@ def test_moment_pairing_equals_weighted_norm():
     profiles = [weight_profile(sample_poisson(window, 1.0,
                                               substream_seed(seed, i)))
                 for i in range(n)]
+    pairings = [hat_pairing(grid, p.nk_squared) for p in profiles]
     for f, got in zip(_moment_fields(grid),
                       rep.columns["mean_weighted_squared"], strict=True):
-        direct = np.mean([weighted_l2_norm(f, p) ** 2 for p in profiles])
+        direct = np.mean([weighted_l2_norm(f, p) ** 2 for p in pairings])
         assert got == pytest.approx(direct, rel=1e-14)
     assert rep.rates["n0_squared_full"] == pytest.approx(
         np.mean([p.nk_squared(0) for p in profiles]), rel=1e-14)
