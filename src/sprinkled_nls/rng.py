@@ -8,11 +8,13 @@ substream (master seed, i), i.e. the generator of
 be chunked or parallelized without changing any draw.
 
 The derivation is numpy's ``SeedSequence`` hash, stated once in
-``_seed_hash`` on uint32 lanes so that a chunk of samples derives its seeds
+``_seed_hash`` on uint32 lanes so that a range of samples derives its seeds
 in one vectorised pass, at both levels: (master, i) -> the integer
 substream seed, and that seed -> the four PCG64 seed words that
 ``PCG64(substream_seed(master, i))`` would draw.  ``substream_seeds`` hands
-the second level out as seed objects that ``generator`` accepts.
+the second level out as seed objects that ``generator`` accepts.  A pass
+costs dozens of small array operations whatever its length, so the sweep
+derives a ``studies.SEED_BLOCK`` of seeds per pass.
 """
 from __future__ import annotations
 

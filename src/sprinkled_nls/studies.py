@@ -42,22 +42,31 @@ __all__ = [
 ]
 
 
-# samples drawn per sample_poisson call; 512 ran the moment study about a
-# quarter faster but held 3 MiB more of chunk temporaries at its peak
+# samples drawn per sample_poisson call; 512 (seeds in blocks of 2048) ran
+# the moment study about a fifth faster but held 4 MiB more at its peak RSS
 SWEEP_CHUNK = 64
+# samples whose seeds one substream_seeds pass derives, so the hash's fixed
+# cost is paid per block, not per chunk.  The size is a memory choice: 1024
+# ran the moment study faster still, but its 32-64 KiB hash temporaries
+# tipped the study's peak RSS into its higher mode in most runs
+SEED_BLOCK = 4 * SWEEP_CHUNK
 
 
 def poisson_sweep(window: tuple[float, float], intensity: float, seed: int,
                   n_samples: int) -> Iterator[PoissonBatch]:
     """Lazily draw a Monte-Carlo sweep in PoissonBatch chunks of SWEEP_CHUNK
     samples (the last may be shorter), one ``sample_poisson`` call each.
-    Sample i is, bit for bit, ``sample_poisson(window, intensity,
-    substream_seed(seed, i))``, so every sample is reproducible and
-    independent of the chunking and of the order of reading."""
-    for start in range(0, n_samples, SWEEP_CHUNK):
-        stop = min(start + SWEEP_CHUNK, n_samples)
-        yield sample_poisson(window, intensity,
-                             _rng.substream_seeds(seed, start, stop))
+    The seeds of SEED_BLOCK samples are derived in one pass when the first
+    chunk of their block is read, so the sweep derives at most one block
+    ahead of its reader.  Sample i is, bit for bit, ``sample_poisson(window,
+    intensity, substream_seed(seed, i))``, so every sample is reproducible
+    and independent of the chunking and of the order of reading."""
+    for block in range(0, n_samples, SEED_BLOCK):
+        seeds = _rng.substream_seeds(seed, block,
+                                     min(block + SEED_BLOCK, n_samples))
+        for start in range(0, len(seeds), SWEEP_CHUNK):
+            yield sample_poisson(window, intensity,
+                                 seeds[start:start + SWEEP_CHUNK])
 
 
 @dataclass
@@ -294,8 +303,10 @@ def moment_study(grid: Grid | None = None, n_samples: int = 20000,
 
     The samples come in the sweep's chunks: each chunk's N_k^2 at the
     grid's integers comes from one ``weight_profile(batch)``, whose rows are
-    bit for bit the profiles of the chunk's samples, so every draw and every
-    value is that of ``weight_profile`` on the same sample.
+    bit for bit the profiles of the chunk's samples, and each chunk's
+    ||f||_{L^2_mu}^2 from one stacked product that pairs every row with the
+    hat moments by the matrix-vector product a single sample would use, so
+    every draw and every value is that of the sample on its own.
     """
     if n_samples < 1000:
         raise ConfigError("need at least 1000 samples for stable statistics")
@@ -327,10 +338,13 @@ def moment_study(grid: Grid | None = None, n_samples: int = 20000,
     i = 0
     for batch in poisson_sweep(window, intensity, seed, n_samples):
         nk2 = weight_profile(batch).nk_squared(ks)
-        n0sq[i:i + len(batch)] = nk2[:, origin]
-        for row in nk2:
-            wsq[i] = moments @ row
-            i += 1
+        rows = slice(i, i + len(batch))
+        n0sq[rows] = nk2[:, origin]
+        # one matrix-vector product per sample, stacked: the same BLAS call
+        # as moments @ row, where one matrix product nk2 @ moments.T would
+        # round differently
+        np.matmul(moments, nk2[:, :, None], out=wsq[rows, :, None])
+        i = rows.stop
 
     half = float(np.mean(n0sq[: n_samples // 2]))
     full = float(np.mean(n0sq))

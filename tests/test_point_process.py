@@ -297,10 +297,11 @@ def _swept_against_substreams(window, intensity, seed, n):
 
 def test_poisson_sweep_draws_substream_per_sample():
     """Sample i is the Poisson measure of substream (seed, i), bit for bit,
-    on both sides of a chunk boundary."""
-    swept = _swept_against_substreams((-4.0, 6.0), 2.0, 17,
-                                      studies.SWEEP_CHUNK + 3)
-    assert all(mu.count for mu in swept)
+    on both sides of a chunk boundary and of a seed-block boundary."""
+    for n in (studies.SWEEP_CHUNK + 3,
+              studies.SEED_BLOCK + studies.SWEEP_CHUNK + 3):
+        swept = _swept_against_substreams((-4.0, 6.0), 2.0, 17, n)
+        assert all(mu.count for mu in swept)
 
 
 def test_poisson_sweep_tiny_window_mostly_empty():
@@ -344,25 +345,37 @@ def test_poisson_batch_validation():
 
 
 def test_poisson_sweep_is_lazy(monkeypatch):
-    """A billion-sample sweep draws one chunk per sample_poisson call, and
-    only when its reader asks for that chunk.  The counting stub stops an
-    eager sweep after a few calls instead of letting it run on."""
-    drawn = []
+    """A billion-sample sweep draws one chunk per sample_poisson call, only
+    when its reader asks for that chunk, and derives its seeds a SEED_BLOCK
+    at a time, never a block ahead of its reader.  The counting stubs stop
+    an eager sweep after a few calls instead of letting it run on."""
+    chunk, block = studies.SWEEP_CHUNK, studies.SEED_BLOCK
+    n_read = block // chunk + 2  # two chunks into the second block
+    drawn, lanes = [], []
+    derive = rng.substream_seeds
 
     def counted(*args):
         drawn.append(args)
-        assert len(drawn) <= 3, "the sweep draws ahead of its reader"
+        assert len(drawn) <= n_read, "the sweep draws ahead of its reader"
         return sample_poisson(*args)
 
+    def counted_seeds(master, start, stop):
+        lanes.append(stop - start)
+        assert sum(lanes) <= n_read * chunk + block, \
+            "the sweep derives seeds ahead of its reader"
+        return derive(master, start, stop)
+
     monkeypatch.setattr(studies, "sample_poisson", counted)
+    monkeypatch.setattr(rng, "substream_seeds", counted_seeds)
     sweep = poisson_sweep((0.0, 1.0), 1.0, 3, 10**9)
-    first = next(sweep)
-    assert len(drawn) == 1 and len(first) == studies.SWEEP_CHUNK
-    second = next(sweep)
-    assert len(drawn) == 2 and len(second) == studies.SWEEP_CHUNK
-    for batch, i in ((first, 0), (second, studies.SWEEP_CHUNK)):
-        ref = sample_poisson((0.0, 1.0), 1.0, substream_seed(3, i))
-        _assert_same_measure(batch.measure(0), ref)
+    for k in range(n_read):
+        batch = next(sweep)
+        assert len(drawn) == k + 1 and len(batch) == chunk
+        assert 0 <= sum(lanes) - (k + 1) * chunk < block
+        if k in (0, 1, block // chunk):
+            ref = sample_poisson((0.0, 1.0), 1.0, substream_seed(3, k * chunk))
+            _assert_same_measure(batch.measure(0), ref)
+    assert lanes[0] <= block
 
 
 def test_atoms_json_round_trip(tmp_path):

@@ -446,6 +446,19 @@ def test_moment_study_builds_one_profile_per_chunk(monkeypatch):
     assert calls == [studies.SWEEP_CHUNK] * full + [rest] * (rest > 0)
 
 
+def test_moment_study_peak_memory():
+    """One acceptance-size moment study holds its sample table, one chunk's
+    weight profiles and one seed block at a time: deriving every sample's
+    seed up front would about double its traced peak."""
+    tracemalloc.start()
+    try:
+        moment_study(None, 10000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
+
+
 def test_laplace_study_smoke():
     rep = laplace_study(3, n_samples=2000)
     assert rep.passed()
