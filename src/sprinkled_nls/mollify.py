@@ -2,11 +2,13 @@
 
 An atomic measure is smeared by the width-eps bump kernel.  The kernel is
 sampled on the grid and each atom's samples are renormalized to carry exactly
-the atom's mass (conservative deposition), so the grid integral of the density
-equals the measure's total mass to float precision at every admissible
-resolution.  The potential used by the regularized flow is either the density
-itself ("mollified_only") or the density multiplied by the smooth plateau that
-is 1 on [-1/eps, 1/eps] and vanishes beyond 2/eps ("fully_truncated").
+the atom's mass (conservative deposition).  Only atoms in the closed domain
+[-L, L] are deposited, the rule the quartic diagnostic uses, so the grid
+integral of the density equals the mass of those atoms to float precision at
+every admissible resolution.  The potential used by the regularized flow is
+either the density itself ("mollified_only") or the density multiplied by the
+smooth plateau that is 1 on [-1/eps, 1/eps] and vanishes beyond 2/eps
+("fully_truncated").
 """
 from __future__ import annotations
 
@@ -46,13 +48,16 @@ def check_resolution(grid: Grid, eps: float) -> None:
 def mollified_density(mu: AtomicMeasure, grid: Grid, eps: float) -> GriddedDensity:
     """Width-eps mollification of an atomic measure, sampled on the grid:
     per-atom deposition of the sampled bump kernel, renormalized to the
-    atom's exact mass.  A density that overflows is refused by
-    GriddedDensity's finiteness check."""
+    atom's exact mass, for the atoms in [-L, L]; an atom outside the domain
+    (a window wider than the grid) deposits nothing.  A density that
+    overflows is refused by GriddedDensity's finiteness check."""
     check_resolution(grid, eps)
     values = np.zeros(grid.n)
     L, dx, n = grid.half_length, grid.dx, grid.n
     with np.errstate(over="ignore", invalid="ignore"):
         for y, mass in zip(mu.positions, mu.masses):
+            if not -L <= y <= L:
+                continue
             i0 = max(0, int(np.ceil((y - eps + L) / dx)))
             i1 = min(n - 1, int(np.floor((y + eps + L) / dx)))
             if i1 < i0:

@@ -4,16 +4,19 @@ Three samplers produce atomic measures: a homogeneous Poisson process
 (independent uniform positions, Poisson-distributed count), a lattice with
 independent Bernoulli site occupation (spacing h, probability p; h = p = 1
 gives the full integer comb), and a fixed-count ensemble of n independent
-uniform positions.  For a non-negative compactly supported test function phi,
-the Laplace functional E exp(-integral phi dmu) has a closed form for each
-model; the empirical estimator averages exp(-sum m_j phi(y_j)) over
-independent samples.
+uniform positions.  The test function phi is a smoothed indicator, whose
+escape integral int (1 - e^-phi) dx is elementary, so the Laplace functional
+E exp(-integral phi dmu) of each model is an exact closed form: exp(-escape)
+for the Poisson process, (1 - escape/|window|)^n for the fixed count and a
+product over the lattice sites for the crystal.  The empirical estimator
+averages exp(-sum m_j phi(y_j)) over independent samples.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +27,7 @@ from .payload import write_csv, write_json
 __all__ = [
     "AtomicMeasure",
     "PoissonBatch",
-    "TestFunction",
-    "smoothed_indicator",
+    "SmoothedIndicator",
     "sample_poisson",
     "sample_bernoulli_crystal",
     "sample_comb",
@@ -132,47 +134,46 @@ class PoissonBatch:
         return AtomicMeasure(self.window, pos, np.ones(pos.size))
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Non-negative continuous function with compact support [a, b].
-
-    `fn` must vanish outside the support itself; calls evaluate it on every
-    point.  `breakpoints` lists the kinks; quadrature routines place nodes
-    there so the piecewise-smooth structure never degrades the convergence
-    order.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    breakpoints: tuple[float, ...] = ()
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-
 RAMP = 0.05
 
 
-def smoothed_indicator(a: float, b: float, height: float = 1.0) -> TestFunction:
+@dataclass(frozen=True)
+class SmoothedIndicator:
     """Indicator of [a, b] at the given height with linear edge ramps.
 
     The transition zones have full width RAMP and are centered on the edges,
     so the integral equals height*(b-a) exactly and the support is
     [a - RAMP/2, b + RAMP/2].
     """
-    if not (a < b):
-        raise ValueError("need a < b")
-    if height <= 0 or RAMP >= (b - a):
-        raise ValueError("need height > 0 and RAMP < b - a")
-    lo, hi = a - RAMP / 2, b + RAMP / 2
 
-    def fn(x):
+    a: float
+    b: float
+    height: float = 1.0
+
+    def __post_init__(self):
+        if not (self.a < self.b):
+            raise ValueError("need a < b")
+        if self.height <= 0 or RAMP >= (self.b - self.a):
+            raise ValueError("need height > 0 and RAMP < b - a")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.a - RAMP / 2, self.b + RAMP / 2
+
+    def __call__(self, x):
+        lo, hi = self.support
+        x = np.asarray(x, dtype=float)
         up = np.clip((x - lo) / RAMP, 0.0, 1.0)
         dn = np.clip((hi - x) / RAMP, 0.0, 1.0)
-        return height * np.minimum(up, dn)
+        return self.height * np.minimum(up, dn)
 
-    return TestFunction(fn, (lo, hi),
-                        (lo, a + RAMP / 2, b - RAMP / 2, hi))
+    @property
+    def escape(self) -> float:
+        """The escape integral int (1 - e^-phi) dx in closed form: the
+        plateau gives (b - a - RAMP)(1 - e^-h) and each ramp
+        RAMP (1 - (1 - e^-h)/h)."""
+        g = -math.expm1(-self.height)
+        return (self.b - self.a - RAMP) * g + 2 * RAMP * (1 - g / self.height)
 
 
 # --- samplers ---
@@ -261,30 +262,12 @@ def sample_fixed_count(window: tuple[float, float], n: int,
 
 # --- Laplace functionals ---
 
-TRAPEZOID_STEP = 1e-4
-
-
-def _piecewise_trapezoid(fn, lo: float, hi: float, breakpoints) -> float:
-    """Composite trapezoid with nodes at every breakpoint; O(step^2) error."""
-    cuts = sorted({lo, hi, *(t for t in breakpoints if lo < t < hi)})
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(np.ceil((right - left) / TRAPEZOID_STEP)))
-        x = np.linspace(left, right, m + 1)
-        y = fn(x)
-        total += np.trapezoid(y, x)
-    return float(total)
-
-
-def poisson_laplace_functional(phi: TestFunction) -> float:
+def poisson_laplace_functional(phi: SmoothedIndicator) -> float:
     """Closed form exp(-integral (1 - e^-phi) dx) for unit intensity."""
-    lo, hi = phi.support
-    integral = _piecewise_trapezoid(lambda x: 1.0 - np.exp(-phi(x)),
-                                    lo, hi, phi.breakpoints)
-    return float(np.exp(-integral))
+    return float(np.exp(-phi.escape))
 
 
-def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
+def bernoulli_laplace_functional(phi: SmoothedIndicator, spacing: float,
                                  prob: float) -> float:
     """Closed form: product over lattice sites of 1 + prob*(e^-phi(site) - 1)."""
     if not 0 < prob <= 1:
@@ -294,22 +277,21 @@ def bernoulli_laplace_functional(phi: TestFunction, spacing: float,
     return float(np.prod(factors))
 
 
-def fixed_count_laplace_functional(phi: TestFunction, window: tuple[float, float],
+def fixed_count_laplace_functional(phi: SmoothedIndicator,
+                                   window: tuple[float, float],
                                    n: int) -> float:
-    """Closed form (1 + (1/|window|) * integral (e^-phi - 1) dx)^n."""
+    """Closed form (1 - (1/|window|) * integral (1 - e^-phi) dx)^n."""
     a, b = _checked_window(window)
     if n < 1:
         raise ValueError("need n >= 1")
     lo, hi = phi.support
     if lo < a or hi > b:
         raise ValueError("test-function support must lie inside the window")
-    integral = _piecewise_trapezoid(lambda x: np.exp(-phi(x)) - 1.0,
-                                    lo, hi, phi.breakpoints)
-    return float((1.0 + integral / (b - a)) ** n)
+    return float((1.0 - phi.escape / (b - a)) ** n)
 
 
 def empirical_laplace_functional(samples: Iterable[PoissonBatch],
-                                 phis: Sequence[TestFunction]
+                                 phis: Sequence[SmoothedIndicator]
                                  ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates (means, standard errors) of E exp(-integral phi
     dmu), one entry per test function, all on one sample set.

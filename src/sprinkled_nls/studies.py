@@ -22,12 +22,11 @@ from .field import (Grid, WaveField, gaussian_field, hat_moments,
 from .measure import weight_profile, weighted_l2_norm
 from .mollify import truncated_potential
 from .payload import write_csv, write_json
-from .point_process import (AtomicMeasure, PoissonBatch,
+from .point_process import (AtomicMeasure, PoissonBatch, SmoothedIndicator,
                             bernoulli_laplace_functional,
                             empirical_laplace_functional,
                             fixed_count_laplace_functional,
-                            poisson_laplace_functional, sample_poisson,
-                            smoothed_indicator)
+                            poisson_laplace_functional, sample_poisson)
 from .solver import SolverParams, check_record, evolve_many
 
 __all__ = [
@@ -402,7 +401,7 @@ def laplace_study(seed: int, *, n_samples: int = 100000) -> StudyReport:
     heights = (0.5, 1.0, 2.0)
     checked_size("sample table entries (samples x heights)",
                  n_samples * len(heights), MAX_ENTRIES)
-    phis = [smoothed_indicator(0.0, 1.0, height=h) for h in heights]
+    phis = [SmoothedIndicator(0.0, 1.0, height=h) for h in heights]
 
     counts = np.concatenate([np.diff(batch.offsets) for batch in poisson_sweep(
         (0.0, 10.0), 1.0, _rng.substream_seed(seed, 0), n_samples)]

@@ -191,6 +191,29 @@ def test_solve_snapshots_rerun_with_fewer_records_leaves_no_stale_file(
         assert hashlib.sha1(data).hexdigest() == listed[name]
 
 
+def test_solve_restarts_from_its_last_snapshot(tmp_path):
+    """A run started from another run's last snapshot file records, at its
+    record 0, the other run's last row: every column but t, as text."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("solve", "--out", str(first),
+               *overrides("t_final=0.05", "snapshots=true")) == 0
+    assert run("solve", "--out", str(second), *overrides(
+        "t_final=0.01", "initial=file",
+        f"field_file={first / 'snapshots' / 'state_000005.bin'}")) == 0
+    last = (first / "diagnostics.csv").read_text().splitlines()[-1]
+    start = (second / "diagnostics.csv").read_text().splitlines()[1]
+    assert start.split(",")[0] == "0"
+    assert start.split(",")[1:] == last.split(",")[1:]
+
+
+def test_field_file_on_another_grid_exits_2(tmp_path, capsys):
+    field = tmp_path / "psi.bin"
+    save_field_bin(gaussian_field(Grid(16.0, 4096)), field)
+    assert run("solve", "--out", str(tmp_path / "x"), *overrides(
+        "initial=file", f"field_file={field}")) == 2
+    assert "field_file grid does not match" in capsys.readouterr().err
+
+
 def test_solve_reruns_byte_identical(tmp_path):
     args = ["--override", "half_length=8", "--override", "n_points=512",
             "--override", "window_lo=-8", "--override", "window_hi=8",
@@ -217,7 +240,10 @@ def test_exit_codes(tmp_path, capsys):
     for pairs in (["t_final=nan"], ["t_final=inf"], ["sigma=nan"],
                   ["center=inf"], ["amplitude=nan"],
                   ["initial=random", "spectral_width=0"],
-                  ["initial=random", "spectral_width=nan"]):
+                  ["initial=random", "spectral_width=nan"],
+                  # an input file kind without its path, an override
+                  # without "=", a bool that is neither true nor false
+                  ["initial=file"], ["t_final"], ["record_quartic=maybe"]):
         assert run("solve", "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, pairs
     # a non-finite window or intensity, whether the measure is drawn or empty,
@@ -239,7 +265,8 @@ def test_exit_codes(tmp_path, capsys):
             ("solve", ["dt=1e-300"]),
             ("solve", ["half_length=1e-320"]),
             ("solve", ["half_length=1e-304"]),
-            ("sample", ["measure=bernoulli", "spacing=1e-310"])):
+            ("sample", ["measure=bernoulli", "spacing=1e-310"]),
+            ("sample", ["measure=file"])):
         assert run(command, "--out", str(tmp_path / "x"),
                    *overrides(*pairs)) == 2, (command, pairs)
     assert run("solve", "--out", str(tmp_path / "x"), "--override",
@@ -328,6 +355,14 @@ def test_heavy_atom_solve_exits_0(tmp_path):
     assert np.isfinite(l2mu).all() and (l2mu > 0).all()
 
 
+def child_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    a child process imports the package under test without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_capped(tmp_path, command, *pairs):
     """``python3 -m sprinkled_nls.cli`` in a child process whose address
     space is capped at 2 GiB, so an oversize input that escapes the size
@@ -335,13 +370,11 @@ def run_capped(tmp_path, command, *pairs):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sprinkled_nls.cli", command,
          "--out", str(tmp_path / "x"), *overrides(*pairs)],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": path})
+        env=child_env())
 
 
 def test_oversize_configs_exit_2(tmp_path):
@@ -706,7 +739,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "sprinkled_nls.cli", "sample", "--out",
          str(tmp_path / "m"), "--override", "measure=kronig_penney",
          "--override", "window_lo=-4", "--override", "window_hi=4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "atoms" in proc.stdout
     assert (tmp_path / "m" / "atoms.csv").is_file()

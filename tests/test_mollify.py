@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sprinkled_nls.bump import cutoff
+from sprinkled_nls.diagnostics import domain_atoms
 from sprinkled_nls.errors import ConfigError, ResolutionError
 from sprinkled_nls.field import Grid
 from sprinkled_nls.mollify import (VARIANTS, check_resolution,
@@ -54,6 +55,20 @@ def test_edge_clipped_atom_keeps_mass():
     g = Grid(16.0, 2048)
     d = mollified_density(one_atom(-15.95, window=(-16.0, 16.0)), g, 0.2)
     assert integral(d) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("y", [8.05, -8.1, 8.0 + 1e-12])
+def test_atom_outside_domain_deposits_nothing(y):
+    """On a window wider than the grid, an atom outside [-L, L] but within
+    eps of an edge deposits nothing, as it counts for nothing in the quartic
+    (``diagnostics.domain_atoms``); an atom on the edge keeps its mass."""
+    g, eps = Grid(8.0, 512), 0.2
+    d = mollified_density(one_atom(y, window=(-10.0, 10.0)), g, eps)
+    assert not d.values.any()
+    assert domain_atoms(g, one_atom(y, window=(-10.0, 10.0))).masses.size == 0
+    edge = mollified_density(one_atom(8.0, window=(-10.0, 10.0)), g, eps)
+    assert integral(edge) == pytest.approx(1.0, rel=1e-13)
+    assert domain_atoms(g, one_atom(8.0, window=(-10.0, 10.0))).masses.size == 1
 
 
 def test_mollified_total_mass_poisson():

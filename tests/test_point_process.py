@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from sprinkled_nls.errors import ConfigError
-from sprinkled_nls import point_process, rng
-from sprinkled_nls.point_process import (AtomicMeasure, PoissonBatch,
+from sprinkled_nls import rng
+from sprinkled_nls.point_process import (RAMP, AtomicMeasure, PoissonBatch,
+                                         SmoothedIndicator,
                                          bernoulli_laplace_functional,
                                          empirical_laplace_functional,
                                          fixed_count_laplace_functional,
@@ -16,8 +17,7 @@ from sprinkled_nls.point_process import (AtomicMeasure, PoissonBatch,
                                          poisson_laplace_functional,
                                          sample_bernoulli_crystal, sample_comb,
                                          sample_fixed_count, sample_poisson,
-                                         save_atoms_csv, save_atoms_json,
-                                         smoothed_indicator)
+                                         save_atoms_csv, save_atoms_json)
 from sprinkled_nls.rng import substream_seed
 from sprinkled_nls import studies
 from sprinkled_nls.studies import poisson_sweep
@@ -54,7 +54,7 @@ WINDOW_ENTRY_POINTS = {
     "sample_fixed_count": lambda w: sample_fixed_count(w, 3, 0),
     "sample_comb": sample_comb,
     "fixed_count_laplace_functional": lambda w: fixed_count_laplace_functional(
-        smoothed_indicator(0.0, 1.0), w, 1),
+        SmoothedIndicator(0.0, 1.0), w, 1),
 }
 
 
@@ -125,37 +125,67 @@ def test_lattice_spacing_rule(spacing):
     with pytest.raises(ValueError, match="spacing"):
         sample_bernoulli_crystal((-32.0, 32.0), spacing, 0.5, seed=0)
     with pytest.raises(ValueError, match="spacing"):
-        bernoulli_laplace_functional(smoothed_indicator(0.0, 1.0), spacing,
+        bernoulli_laplace_functional(SmoothedIndicator(0.0, 1.0), spacing,
                                      0.5)
+
+
+@pytest.mark.parametrize("prob", [0.0, -0.5, 1.5, float("nan")])
+def test_lattice_prob_rule(prob):
+    """Both lattice users reject an occupation probability outside (0, 1]
+    with a ValueError."""
+    with pytest.raises(ValueError, match="prob"):
+        sample_bernoulli_crystal((-4.0, 4.0), 1.0, prob, seed=0)
+    with pytest.raises(ValueError, match="prob"):
+        bernoulli_laplace_functional(SmoothedIndicator(0.0, 1.0), 1.0, prob)
+
+
+def _site_count(lo: Fraction, hi: Fraction, spacing: Fraction) -> int:
+    """The exact number of multiples of spacing in [lo, hi]."""
+    return math.floor(hi / spacing) - math.ceil(lo / spacing) + 1
 
 
 @pytest.mark.parametrize("num, den", [(1, 10), (1, 100), (1, 1000), (3, 10),
                                       (7, 10), (1, 20)])
-def test_lattice_sites_stay_in_window(num, den):
+def test_lattice_sites_stay_in_window(num, den, monkeypatch):
     """On windows whose edges are multiples of 0.1 in [-10, 10], every
     lattice site lies in the closed window and the site count is the exact
     decimal count, so a site on an edge is kept and none falls outside by
     rounding (spacing 0.1 on (-10, 0.3) once put its top site at
     0.30000000000000004).  Both lattice users are checked: the crystal's
-    atoms and the sites the Laplace functional evaluates phi at."""
+    atoms, and the sites the Laplace functional evaluates phi at, which must
+    be the crystal's atoms on phi's support and as many as the rational
+    support holds."""
     spacing, exact = num / den, Fraction(num, den)
-    evaluated = []
+    evaluated, evaluate = [], SmoothedIndicator.__call__
 
-    def record(x):
+    def record(phi, x):
         evaluated.append(x)
-        return np.zeros_like(x)
+        return evaluate(phi, x)
 
+    monkeypatch.setattr(SmoothedIndicator, "__call__", record)
+    half_ramp = Fraction(1, 40)
     for i in range(-100, 101, 3):
         for j in range(i + 1, 101, 3):
             a, b = i / 10, j / 10
-            count = (math.floor(Fraction(j, 10) / exact)
-                     - math.ceil(Fraction(i, 10) / exact) + 1)
+            lo, hi = Fraction(i, 10), Fraction(j, 10)
+            count = _site_count(lo, hi, exact)
             atoms = sample_bernoulli_crystal((a, b), spacing, 1.0, seed=0)
-            phi = point_process.TestFunction(record, (a, b))
-            bernoulli_laplace_functional(phi, spacing, 1.0)
-            for sites in (atoms.positions, evaluated.pop()):
-                assert sites.size == count, (a, b)
-                assert ((a <= sites) & (sites <= b)).all(), (a, b)
+            assert atoms.count == count, (a, b)
+            assert ((a <= atoms.positions) & (atoms.positions <= b)).all()
+            # phi on [a, b], and inset by RAMP/2 so that its support is the
+            # window itself up to rounding
+            phis = [(SmoothedIndicator(a, b),
+                     _site_count(lo - half_ramp, hi + half_ramp, exact))]
+            if j - i > 1:
+                phis.append((SmoothedIndicator(a + RAMP / 2, b - RAMP / 2),
+                             count))
+            for phi, n_sites in phis:
+                bernoulli_laplace_functional(phi, spacing, 1.0)
+                [sites] = evaluated
+                evaluated.clear()
+                np.testing.assert_array_equal(sites, sample_bernoulli_crystal(
+                    phi.support, spacing, 1.0, seed=0).positions)
+                assert sites.size == n_sites, (a, b)
 
 
 def test_bernoulli_crystal_thins():
@@ -173,7 +203,7 @@ def test_fixed_count_exact_and_empty():
 
 
 def test_smoothed_indicator_shape():
-    phi = smoothed_indicator(0.0, 1.0, height=2.0)
+    phi = SmoothedIndicator(0.0, 1.0, height=2.0)
     lo, hi = phi.support
     assert (lo, hi) == (-0.025, 1.025)
     assert phi(np.array([0.5]))[0] == 2.0
@@ -184,29 +214,41 @@ def test_smoothed_indicator_shape():
     # edge midpoints sit halfway up the ramp
     assert phi(np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-14)
     val, _ = quad(lambda x: phi(np.array([x]))[0], lo, hi,
-                  points=phi.breakpoints, limit=200)
+                  points=(lo, 0.025, 0.975, hi), limit=200)
     assert val == pytest.approx(2.0, rel=1e-12)  # exact area height*(b-a)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5, 4.25)])
+@pytest.mark.parametrize("height", [1e-3, 0.5, 1.0, 2.0, 8.0])
+def test_escape_integral_matches_quadrature(a, b, height):
+    """The closed-form escape integral int (1 - e^-phi) dx agrees with
+    adaptive quadrature split at the four kinks."""
+    phi = SmoothedIndicator(a, b, height)
+    lo, hi = phi.support
+    val, _ = quad(lambda x: -np.expm1(-phi(x)), lo, hi,
+                  points=(lo, a + RAMP / 2, b - RAMP / 2, hi),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    assert phi.escape == pytest.approx(val, rel=1e-12)
 
 
 def test_smoothed_indicator_validation():
     with pytest.raises(ValueError):
-        smoothed_indicator(1.0, 0.0)
+        SmoothedIndicator(1.0, 0.0)
     with pytest.raises(ValueError):
-        smoothed_indicator(0.0, 1.0, height=-1.0)
+        SmoothedIndicator(0.0, 1.0, height=-1.0)
     with pytest.raises(ValueError):
-        smoothed_indicator(0.0, 0.01)  # narrower than the ramp
+        SmoothedIndicator(0.0, 0.01)  # narrower than the ramp
 
 
 @pytest.mark.parametrize("height", [0.5, 1.0, 2.0])
 def test_poisson_laplace_functional_frozen(height):
-    phi = smoothed_indicator(0.0, 1.0, height=height)
-    assert poisson_laplace_functional(phi) == pytest.approx(
-        POISSON_LF[height], rel=1e-6)
+    phi = SmoothedIndicator(0.0, 1.0, height=height)
+    assert poisson_laplace_functional(phi) == POISSON_LF[height]
 
 
 def test_bernoulli_laplace_functional_small_product():
     """Five lattice sites hit the support; the product is checked by hand."""
-    phi = smoothed_indicator(0.0, 1.0, height=2.0)
+    phi = SmoothedIndicator(0.0, 1.0, height=2.0)
     got = bernoulli_laplace_functional(phi, 0.25, 0.25)
     edge = 1.0 + 0.25 * (np.exp(-1.0) - 1.0)
     middle = 1.0 + 0.25 * (np.exp(-2.0) - 1.0)
@@ -214,20 +256,25 @@ def test_bernoulli_laplace_functional_small_product():
 
 
 def test_fixed_count_laplace_functional_frozen():
-    phi = smoothed_indicator(0.0, 1.0, height=2.0)
+    phi = SmoothedIndicator(0.0, 1.0, height=2.0)
     got = fixed_count_laplace_functional(phi, (-1.0, 9.0), 10)
-    assert got == pytest.approx(FIXED_LF_N10, rel=1e-6)
+    assert got == FIXED_LF_N10
 
 
 def test_fixed_count_requires_support_inside_window():
-    phi = smoothed_indicator(0.0, 1.0)
+    """The fixed-count functional refuses a test function sticking out of
+    the window, and a count below one."""
+    phi = SmoothedIndicator(0.0, 1.0)
     with pytest.raises(ValueError):
         fixed_count_laplace_functional(phi, (0.5, 9.0), 10)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            fixed_count_laplace_functional(phi, (-1.0, 9.0), n)
 
 
 def test_laplace_ladders_approach_poisson():
     """Both non-Poisson families converge to the Poisson value."""
-    phi = smoothed_indicator(0.0, 1.0, height=2.0)
+    phi = SmoothedIndicator(0.0, 1.0, height=2.0)
     target = poisson_laplace_functional(phi)
     bern = [abs(bernoulli_laplace_functional(phi, p, p) - target)
             for p in (0.25, 0.0625, 0.015625)]
@@ -238,7 +285,7 @@ def test_laplace_ladders_approach_poisson():
 
 
 def test_empirical_laplace_functional_matches_closed_form():
-    phi = smoothed_indicator(0.0, 1.0, height=2.0)
+    phi = SmoothedIndicator(0.0, 1.0, height=2.0)
     (mean,), (se,) = empirical_laplace_functional(
         poisson_sweep((-1.0, 2.0), 1.0, 99, 2000), [phi])
     assert se < 0.02
@@ -246,7 +293,7 @@ def test_empirical_laplace_functional_matches_closed_form():
 
 
 def test_empirical_laplace_functional_reproducible():
-    phis = [smoothed_indicator(0.0, 1.0), smoothed_indicator(0.5, 1.5)]
+    phis = [SmoothedIndicator(0.0, 1.0), SmoothedIndicator(0.5, 1.5)]
     a = empirical_laplace_functional(poisson_sweep((0.0, 2.0), 1.0, 5, 64), phis)
     b = empirical_laplace_functional(list(poisson_sweep((0.0, 2.0), 1.0, 5, 64)),
                                      phis)
@@ -260,7 +307,7 @@ def test_empirical_laplace_functional_equals_per_sample_sums():
     """Summing phi per sample over a whole batch gives the per-measure
     exp(-m . phi(y)) of every sample bit for bit, empty samples (exp(0) = 1)
     included, also when one ends a batch."""
-    phis = [smoothed_indicator(0.0, 1.0, height=h) for h in (0.5, 2.0)]
+    phis = [SmoothedIndicator(0.0, 1.0, height=h) for h in (0.5, 2.0)]
     window, seed, n = (0.2, 0.5), 12, 2 * studies.SWEEP_CHUNK + 5
     batches = list(poisson_sweep(window, 1.0, seed, n))
     assert any(b.offsets[-2] == b.offsets[-1] for b in batches)
