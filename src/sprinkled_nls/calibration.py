@@ -22,7 +22,7 @@ from .field import (Grid, WaveField, free_propagator, gaussian_field,
 from .measure import block_norm, chi, weight_profile, weighted_l2_norm
 from .mollify import mollified_density, truncated_potential
 from .point_process import sample_poisson
-from .solver import SolverParams, check_record, evolve_many
+from .solver import SolverParams, checked_records, evolve_many
 from .studies import (eps_convergence_study, moment_study, poisson_sweep,
                       stability_study)
 
@@ -121,27 +121,25 @@ def measure_localized_mass(n_samples: int) -> float:
 
 def measure_tail_growth() -> float:
     """Largest observed (max tail^2 - tail(0)^2) / (lam * T * max h1^2),
-    the H^1 norm and the tails taken from each record as the kernel yields
-    it and checked like a study's."""
+    the H^1 norm and the tails taken from each record through the solver's
+    ``checked_records``, like a study's."""
     grid = Grid(32.0, 2048)
     psi0 = gaussian_field(grid)
     params = SolverParams(dt=1e-3, t_final=1.0, record_every=50)
     lams = (0.25, 0.5, 1.0)
     atom = sample_poisson((-30.0, 30.0), 1.0, _rng.substream_seed(SEED + 5, 0))
     single = sample_poisson((-0.5, 0.5), 1.0, _rng.substream_seed(SEED + 5, 1))
+
+    def norms(block):
+        s = WaveField(grid, block[0])
+        return sobolev_norm(s, 1.0), [tail_norm(s, lam) for lam in lams]
+
     best = 0.0
     for mu, eps in ((atom, 0.2), (single, 0.1)):
         potential = truncated_potential(mu, grid, eps, "fully_truncated")
-        h1s, tails = [], []
-        for step, block in evolve_many([psi0], potential, params):
-            s = WaveField(grid, block[0])
-            with np.errstate(over="ignore", invalid="ignore"):
-                h1 = sobolev_norm(s, 1.0)
-                tail = [tail_norm(s, lam) for lam in lams]
-            check_record(step, params.dt, ("H^1 norm", "tail norm"),
-                         (h1, tail))
-            h1s.append(h1)
-            tails.append(tail)
+        h1s, tails = zip(*(values for _, values in checked_records(
+            [evolve_many([psi0], potential, params)], params.dt,
+            ("H^1 norm", "tail norm"), norms)))
         h1_max = float(np.max(h1s))
         for lam, lam_tails in zip(lams, np.array(tails).T):
             growth = float(np.max(lam_tails**2) - lam_tails[0] ** 2)

@@ -153,8 +153,8 @@ class SmoothedIndicator:
     def __post_init__(self):
         if not (self.a < self.b):
             raise ValueError("need a < b")
-        if self.height <= 0 or RAMP >= (self.b - self.a):
-            raise ValueError("need height > 0 and RAMP < b - a")
+        if not 0 < self.height < math.inf or RAMP >= (self.b - self.a):
+            raise ValueError("need 0 < height < inf and RAMP < b - a")
 
     @property
     def support(self) -> tuple[float, float]:

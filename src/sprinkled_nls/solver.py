@@ -35,17 +35,18 @@ reaches 256 KiB.  With the order fixed, every row of a stack equals the same
 start run alone bit for bit.
 
 The kernel yields each record as it reaches it, record 0 (a copy of the
-starts) before the first step, and keeps none; each caller checks
-(``check_record``) its numbers from a record as it arrives.  ``evolve``, the
-one builder of a ``Trajectory``, holds no state array either: it takes each
-record's diagnostics as it arrives, on a short-lived ``WaveField`` whose
-cached spectrum serves them all, writes the record's snapshot file once
-they pass, when asked to, and drops it before asking for the next, keeping
-only the last.  So a non-finite diagnostic stops the kernel at that record's
-step, with the files of the records before it on disk.  Everything those
-diagnostics read that does not depend on the state (the weighted norm's
-linear functional, the atoms' interpolation tables, the grid's xi^2 and
-Sobolev weights) is built once per run, not once per record.
+starts) before the first step, and keeps none.  Every run reads its records
+through one loop, ``checked_records``: it drains the runs in lockstep, takes
+each record's diagnostics under one error state, stops every run at the step
+of a record with a non-finite checked value, and drops the record's blocks
+before it yields.  ``evolve``, the only maker of a ``Trajectory``, takes
+each record's diagnostics on a short-lived ``WaveField`` whose cached
+spectrum serves them all, writes its snapshot file once they pass, when
+asked to, and keeps only the last, so a blow-up leaves the files of the
+records before it on disk.  Everything those diagnostics read that does not
+depend on the state (the weighted norm's linear functional, the atoms'
+interpolation tables, the grid's xi^2 and Sobolev weights) is built once
+per run, not once per record.
 """
 from __future__ import annotations
 
@@ -121,11 +122,22 @@ def snapshot_name(i: int) -> str:
     return f"state_{i:06d}.bin"
 
 
-def check_record(step: int, dt: float, names: Sequence[str], values) -> None:
-    """The one per-record rule: BlowUpError at the first non-finite value."""
-    for name, value in zip(names, values):
-        if not np.isfinite(value).all():
-            raise BlowUpError(step, step * dt, f"recorded {name}")
+def checked_records(runs: Sequence[Iterator], dt: float,
+                    names: Sequence[str], diagnose) -> Iterator[tuple]:
+    """Drain ``evolve_many`` runs in lockstep and yield ``(step, values)``,
+    ``values = diagnose(*blocks)`` taken per record with overflow and
+    invalid results ignored, ``step`` the first run's.  The first non-finite
+    value named in ``names`` is a BlowUpError at ``step * dt``; later values
+    go unchecked.  A record's blocks are dropped before the yield."""
+    for step, block in runs[0]:
+        blocks = [block, *(next(run)[1] for run in runs[1:])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = diagnose(*blocks)
+        del block, blocks
+        for name, value in zip(names, values):
+            if not np.isfinite(value).all():
+                raise BlowUpError(step, step * dt, f"recorded {name}")
+        yield step, values
 
 
 def evolve_many(starts: Sequence[WaveField], potential: GriddedDensity,
@@ -190,11 +202,12 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     the measure; an empty measure gives the baseline weight 4.  What the
     diagnostics read of the grid and the measure is built once, before the
     first step: the weighted norm's ``hat_pairing`` and the interpolation
-    tables of the atoms in the domain.  Each row passes ``check_record`` as
-    its record arrives, record 0 before the first step, and only then is the
-    record's snapshot written, so a non-finite diagnostic stops the run at
-    its record's step with the files of the earlier records written; the
-    quartic column is NaN and unchecked when record_quartic is off.
+    tables of the atoms in the domain.  The records come through
+    ``checked_records``, record 0 before the first step, and a record's
+    snapshot is written only once its row passes, so a non-finite
+    diagnostic stops the run at its record's step with the files of the
+    earlier records written; the quartic column is NaN and unchecked when
+    record_quartic is off.
     """
     grid = potential.grid
     profile = weight_profile(measure)
@@ -209,23 +222,23 @@ def evolve(psi0: WaveField, potential: GriddedDensity, params: SolverParams,
     if snapshots is not None:
         snapshots = Path(snapshots)
         snapshots.mkdir(parents=True, exist_ok=True)
-    steps, rows = [], []
-    for step, block in evolve_many([psi0], potential, params):
+
+    def diagnose(block):
+        # the row's columns, then its field, which is not checked
         s = WaveField(grid, block[0])
-        del block  # s holds a copy; freed before the diagnostics are taken
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
-                      weighted_l2_norm(s, l2mu), sup_norm(s),
-                      quartic_measure_integral(s, atoms)
-                      if params.record_quartic else np.nan)
-        check_record(step, params.dt, checked, values)
+        return (mass(s), energy(s, potential), sobolev_norm(s, 1.0),
+                weighted_l2_norm(s, l2mu), sup_norm(s),
+                quartic_measure_integral(s, atoms)
+                if params.record_quartic else np.nan, s)
+
+    rows = []
+    for step, (*row, s) in checked_records(
+            [evolve_many([psi0], potential, params)], params.dt, checked,
+            diagnose):
         if snapshots is not None:
-            save_field_bin(s, snapshots / snapshot_name(len(steps)))
-        steps.append(step)
-        rows.append(values)
-    return Trajectory(params,
-                      {"t": np.array(steps) * params.dt,
-                       **dict(zip(DIAGNOSTIC_COLUMNS[1:], np.array(rows).T))},
+            save_field_bin(s, snapshots / snapshot_name(len(rows)))
+        rows.append((step * params.dt, *row))
+    return Trajectory(params, dict(zip(DIAGNOSTIC_COLUMNS, np.array(rows).T)),
                       s)
 
 

@@ -5,7 +5,7 @@ value), fitted rates where a rate makes sense, and named pass/fail flags.
 Reports serialize to CSV (the table) and JSON (everything).  The study
 functions validate their own inputs and raise ConfigError (a ValueError) for
 a bad one, which the CLI reports as a configuration problem.  The stepped
-studies pass each record's norms through the solver's ``check_record``.
+studies read each record's norms through the solver's ``checked_records``.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .point_process import (AtomicMeasure, PoissonBatch, SmoothedIndicator,
                             empirical_laplace_functional,
                             fixed_count_laplace_functional,
                             poisson_laplace_functional, sample_poisson)
-from .solver import SolverParams, check_record, evolve_many
+from .solver import SolverParams, checked_records, evolve_many
 
 __all__ = [
     "poisson_sweep",
@@ -160,18 +160,17 @@ def eps_convergence_study(psi0: WaveField, mu: AtomicMeasure,
               for eps in widths]
     l2mu = hat_pairing(psi0.grid, weight_profile(mu).nk_squared)
 
+    def distances(*blocks):
+        diffs = (WaveField(psi0.grid, a[0] - b[0])
+                 for a, b in zip(blocks, blocks[1:]))
+        return np.array([(sobolev_norm(d, 1.0), weighted_l2_norm(d, l2mu))
+                         for d in diffs]).T
+
     runs = [evolve_many([psi0], potential, p) for potential, p in setups]
     sups = np.zeros((3, len(ladder)))  # D's H^1, L^2_mu and sum parts
-    for records in zip(*runs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs = (WaveField(psi0.grid, a[0] - b[0])
-                     for (_, a), (_, b) in zip(records, records[1:]))
-            h1s, l2s = np.array([(sobolev_norm(d, 1.0),
-                                  weighted_l2_norm(d, l2mu))
-                                 for d in diffs]).T
-        # a record's step is counted in the coarsest run's dt, params.dt
-        check_record(records[0][0], params.dt,
-                     ("H^1 distance", "L^2_mu distance"), (h1s, l2s))
+    # a record's step is counted in the coarsest run's dt, params.dt
+    for _, (h1s, l2s) in checked_records(
+            runs, params.dt, ("H^1 distance", "L^2_mu distance"), distances):
         np.maximum(sups, (h1s, l2s, h1s + l2s), out=sups)
     d_h1, d_l2mu, d_sum = sups.tolist()
 
@@ -243,21 +242,23 @@ def stability_study(psi0: WaveField, mu: AtomicMeasure, eps: float,
     rows = list(range(len(stepped)))
     if real:
         rows.insert(n, 0)
+
+    def norms(block):
+        # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row, read for
+        # every run through rows
+        sizes = np.array([sobolev_norm(f, 1.0) * weighted_l2_norm(f, l2mu)
+                          for f in (WaveField(psi0.grid, s)
+                                    for s in block)])[rows]
+        # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
+        # backward pair
+        return sizes, np.array([[sobolev_norm(WaveField(
+            psi0.grid, block[rows[base]] - block[rows[base + idx]]), -1.0)
+                                 for base in (0, n)] for idx in range(1, n)])
+
     sups = np.zeros((2, n - 1))  # per delta, sup of K and of H^-1 distance
-    for step, block in evolve_many(stepped, potential, params):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # ||psi||_{H^1} ||psi||_{L^2_mu} of every stepped row, read for
-            # every run through rows
-            sizes = np.array([sobolev_norm(f, 1.0) * weighted_l2_norm(f, l2mu)
-                              for f in (WaveField(psi0.grid, s)
-                                        for s in block)])[rows]
-            # per delta, ||psi - phi||_{H^-1} of the forward pair, then the
-            # backward pair
-            diffs = np.array([[sobolev_norm(WaveField(
-                psi0.grid, block[rows[base]] - block[rows[base + idx]]), -1.0)
-                               for base in (0, n)] for idx in range(1, n)])
-        check_record(step, params.dt,
-                     ("H^1 x L^2_mu size", "H^-1 difference"), (sizes, diffs))
+    for _, (sizes, diffs) in checked_records(
+            [evolve_many(stepped, potential, params)], params.dt,
+            ("H^1 x L^2_mu size", "H^-1 difference"), norms):
         np.maximum(sups, (np.maximum(sizes[0] + sizes[1:n],
                                      sizes[n] + sizes[n + 1:]),
                           np.max(diffs, axis=1)), out=sups)

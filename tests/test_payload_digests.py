@@ -1,4 +1,4 @@
-"""Golden SHA-1 digests of every payload file of four short CLI runs.
+"""Golden SHA-1 digests of every payload file of five short CLI runs.
 
 The payloads are the hashed outputs a manifest lists; this pins their bytes
 across code changes, so a change that moves any number a run writes fails
@@ -30,6 +30,14 @@ RUNS = {
                        "--override", "n_samples=1000"], {
         "study_moments.csv": "05701904ee2ff74b6db06fa09a24fc2f24a687e1",
         "study_moments.json": "a73ff8c6bf2c2857f514058552799c8706182edf"}),
+    # the default ladder (1, 0.5, 0.25, 0.125) fails its flags at this short
+    # t_final and exits 5, so the run takes a finer one that passes
+    "study-eps": (["study", "--override", "study=eps",
+                   "--override", "eps_ladder=0.4,0.2,0.1",
+                   "--override", "t_final=0.05"], {
+        "study_eps_convergence.csv": "392cfd28606a9801ff5481fad0e04180107aae93",
+        "study_eps_convergence.json":
+            "dfbab57b3af54669fd7ffcff44c19f873dac779a"}),
 }
 
 

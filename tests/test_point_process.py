@@ -234,8 +234,11 @@ def test_escape_integral_matches_quadrature(a, b, height):
 def test_smoothed_indicator_validation():
     with pytest.raises(ValueError):
         SmoothedIndicator(1.0, 0.0)
-    with pytest.raises(ValueError):
-        SmoothedIndicator(0.0, 1.0, height=-1.0)
+    # a NaN height gives a NaN functional; an infinite one is NaN off its
+    # support (inf * 0) while its escape integral stays finite
+    for height in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="height"):
+            SmoothedIndicator(0.0, 1.0, height=height)
     with pytest.raises(ValueError):
         SmoothedIndicator(0.0, 0.01)  # narrower than the ramp
 

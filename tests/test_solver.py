@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from sprinkled_nls.field import (Grid, GriddedDensity, WaveField,
 from sprinkled_nls.measure import weight_profile, weighted_l2_norm
 from sprinkled_nls.mollify import truncated_potential
 from sprinkled_nls.point_process import AtomicMeasure, sample_poisson
-from sprinkled_nls.solver import (MAX_STEPS, SolverParams, evolve, evolve_many,
-                                  evolve_regularized, oracle_evolve,
-                                  save_trajectory_csv, snapshot_name)
+from sprinkled_nls.solver import (MAX_STEPS, SolverParams, checked_records,
+                                  evolve, evolve_many, evolve_regularized,
+                                  oracle_evolve, save_trajectory_csv,
+                                  snapshot_name)
 
 
 def zero_potential(grid):
@@ -323,6 +325,76 @@ def test_non_finite_diagnostic_stops_the_kernel_at_its_record(
         evolve(gaussian_field(grid), pot, params, measure=mu)
     assert info.value.step == 4
     assert reached == [0, 2, 4]
+
+
+class Watched:
+    """An ``evolve_many`` run that logs the step of each record it is asked
+    for, and fails if a block it handed out is still held when the next
+    record is asked for."""
+
+    def __init__(self, run):
+        self.run, self.steps, self.handed = run, [], []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        assert all(ref() is None for ref in self.handed), \
+            "a record's block is held while the run steps on"
+        step, block = next(self.run)
+        self.steps.append(step)
+        self.handed.append(weakref.ref(block))
+        return step, block
+
+
+def test_checked_records_stop_every_run_at_the_first_bad_record(grid):
+    """Runs at different steps are drained in lockstep, each record's blocks
+    dropped before the next is asked for.  A value that turns non-finite at
+    the fourth record of the second run raises at the first run's step and
+    time, naming its column, and no run is asked for a record past it.  A
+    NaN past the checked names does not raise."""
+    coarse = SolverParams(dt=1e-2, t_final=0.1, record_every=2)
+    fine = SolverParams(dt=5e-3, t_final=0.1, record_every=4)
+    runs = [Watched(evolve_many([gaussian_field(grid)], zero_potential(grid),
+                                p)) for p in (coarse, fine)]
+    shapes = []
+
+    def diagnose(a, b):
+        shapes.append((a.shape, b.shape))
+        return np.abs(a).max(), np.nan if len(shapes) == 4 else 1.0, np.nan
+
+    seen = []
+    with pytest.raises(BlowUpError, match=r"recorded second run at step 6 "
+                                          r"\(t = 0\.06\)") as info:
+        for step, values in checked_records(runs, coarse.dt,
+                                            ("sup", "second run"), diagnose):
+            seen.append((step, *values[1:]))
+    assert (info.value.step, info.value.time) == (6, 6 * coarse.dt)
+    assert [row[:2] for row in seen] == [(0, 1.0), (2, 1.0), (4, 1.0)]
+    assert all(np.isnan(row[2]) for row in seen)
+    assert runs[0].steps == [0, 2, 4, 6]
+    assert runs[1].steps == [0, 4, 8, 12]
+    assert shapes == [((1, grid.n), (1, grid.n))] * 4
+
+
+def test_checked_records_hold_no_error_state_across_the_yield(grid):
+    """The diagnostics run with overflow and invalid results ignored, and
+    the caller's loop body under the caller's own error state: an error
+    state held across a yield leaks into the caller."""
+    params = SolverParams(dt=1e-2, t_final=0.03, record_every=1)
+    inside = []
+
+    def diagnose(block):
+        inside.append(np.geterr())
+        return (np.abs(block).max(),)
+
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        bodies = [np.geterr() for _ in checked_records(
+            [evolve_many([gaussian_field(grid)], zero_potential(grid),
+                         params)], params.dt, ("sup",), diagnose)]
+    assert bodies == [caller] * 4
+    assert inside == [{**caller, "over": "ignore", "invalid": "ignore"}] * 4
 
 
 def four_fft_strang(psi0, potential, dt, record_steps):
