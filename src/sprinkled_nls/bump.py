@@ -7,6 +7,8 @@ intervals.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 __all__ = [
@@ -49,23 +51,28 @@ def bump_scaled(x, eps: float):
 
 
 # smoothstep S(t) = int_0^t raw_bump(2u-1) du, normalized so S(1) = 1.
-# Tabulated once; the integrand vanishes to all orders at both ends, so S is
-# smooth and flat there, and symmetric: S(t) + S(1-t) = 1, S(1/2) = 1/2.
+# Tabulated on first use, so a run that never tapers anything never builds
+# it; the integrand vanishes to all orders at both ends, so S is smooth and
+# flat there, and symmetric: S(t) + S(1-t) = 1, S(1/2) = 1/2.
 _STEP_NODES = 1 << 16
-_step_t = np.linspace(0.0, 1.0, _STEP_NODES + 1)
-_step_f = raw_bump(2.0 * _step_t - 1.0)
-_step_cum = np.concatenate(
-    ([0.0], np.cumsum(0.5 * (_step_f[1:] + _step_f[:-1]) * np.diff(_step_t)))
-)
-_step_cum /= _step_cum[-1]
-# enforce exact symmetry of the table (kills cumulative-roundoff skew)
-_step_cum = 0.5 * (_step_cum + (1.0 - _step_cum[::-1]))
+
+
+@cache
+def _step_table() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes t and the values S(t) of the smoothstep table."""
+    t = np.linspace(0.0, 1.0, _STEP_NODES + 1)
+    f = raw_bump(2.0 * t - 1.0)
+    cum = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))))
+    cum /= cum[-1]
+    # enforce exact symmetry of the table (kills cumulative-roundoff skew)
+    return t, 0.5 * (cum + (1.0 - cum[::-1]))
 
 
 def smoothstep(t):
     """Monotone smooth transition: 0 at t<=0, 1 at t>=1, flat at both ends."""
     t = np.asarray(t, dtype=float)
-    return np.interp(t, _step_t, _step_cum, left=0.0, right=1.0)
+    return np.interp(t, *_step_table(), left=0.0, right=1.0)
 
 
 def plateau_cutoff(t):

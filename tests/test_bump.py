@@ -1,10 +1,15 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sprinkled_nls.bump import (BUMP_INTEGRAL, BUMP_NORMALIZER, bump,
-                                bump_scaled, cutoff, plateau_cutoff, raw_bump,
-                                smoothstep)
+from conftest import child_env
+from sprinkled_nls.bump import (BUMP_INTEGRAL, BUMP_NORMALIZER, _step_table,
+                                bump, bump_scaled, cutoff, plateau_cutoff,
+                                raw_bump, smoothstep)
 
 # frozen from 50-digit adaptive quadrature of exp(-1/(1-x^2)) over (-1, 1)
 RAW_BUMP_MASS = 0.44399381616807944
@@ -73,6 +78,44 @@ def test_smoothstep_monotone_and_clamped():
     assert np.all(np.diff(v) >= 0.0)
     assert np.all(v[t <= 0.0] == 0.0)
     assert np.all(v[t >= 1.0] == 1.0)
+
+
+def test_smoothstep_table_bytes_are_pinned():
+    """The table built on first use holds the 65,537 nodes and values it
+    held when it was built at import, byte for byte."""
+    t, cum = _step_table()
+    assert len(t) == len(cum) == 65537
+    assert hashlib.sha1(t.tobytes()).hexdigest() == \
+        "f2b57a8d0e39c51a2de20f91ccbf1949cd8dc4f0"
+    assert hashlib.sha1(cum.tobytes()).hexdigest() == \
+        "8f4bf6f7bb884d8c984d9d2c59532d8475f59995"
+
+
+# run in a fresh interpreter, where no earlier test has built the table
+LAZY_TABLE_SCRIPT = """
+import sprinkled_nls
+from sprinkled_nls import bump
+from sprinkled_nls.field import Grid
+from sprinkled_nls.mollify import truncated_potential
+from sprinkled_nls.point_process import AtomicMeasure
+from sprinkled_nls.studies import moment_study
+
+moment_study(None, 1000, 0)
+assert bump._step_table.cache_info().misses == 0, "a moment study built it"
+mu = AtomicMeasure((-16.0, 16.0), [0.0], [1.0])
+for _ in range(2):
+    truncated_potential(mu, Grid(16.0, 512), 0.5, "fully_truncated")
+assert bump._step_table.cache_info().misses == 1, "not built exactly once"
+"""
+
+
+def test_smoothstep_table_is_built_on_first_use():
+    """Importing the package and running a moment study, which tapers
+    nothing, leave the smoothstep table unbuilt; the first tapered
+    potential builds it, and the next one reuses it."""
+    proc = subprocess.run([sys.executable, "-c", LAZY_TABLE_SCRIPT],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_plateau_cutoff_regions():

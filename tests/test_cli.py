@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import json
-import os
 import re
 import resource
 import struct
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from sprinkled_nls import cli, solver, studies
 from sprinkled_nls.cli import (DEFAULTS, SCHEMA, _parse_value, main,
                                resolve_config)
@@ -353,14 +353,6 @@ def test_heavy_atom_solve_exits_0(tmp_path):
     l2mu = np.loadtxt(out / "diagnostics.csv", delimiter=",",
                       skiprows=1)[:, header.index("l2mu")]
     assert np.isfinite(l2mu).all() and (l2mu > 0).all()
-
-
-def child_env() -> dict:
-    """The environment with this checkout's ``src`` first on PYTHONPATH, so
-    a child process imports the package under test without an install."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_capped(tmp_path, command, *pairs):

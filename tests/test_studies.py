@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sprinkled_nls.rng import generator, substream_seed
 from sprinkled_nls.solver import SolverParams
 from sprinkled_nls import field, solver, studies
 from sprinkled_nls.studies import (StudyReport, eps_convergence_study,
-                                   laplace_study, moment_study,
+                                   laplace_study, moment_study, poisson_sweep,
                                    save_report_csv, save_report_json,
                                    stability_study)
 
@@ -409,10 +410,11 @@ def test_moment_pairing_equals_weighted_norm():
 @pytest.mark.parametrize("window", [(-40.0, 40.0), (-5.0, 5.0)],
                          ids=["wider_than_grid", "narrower_than_grid"])
 def test_moment_chunks_equal_per_sample_profiles(window):
-    """1001 samples make fifteen full sweep chunks of 64 and a ragged one of
-    41.  Each chunk's table spans the window and is read at the grid's
-    integers through the edge rule, so the study reads exactly the N_k^2 of
-    each sample's own profile, paired in the same order and arithmetic."""
+    """1001 samples, an odd count, end the sweep on a ragged chunk whenever
+    SWEEP_CHUNK is even.  Each chunk's table spans the window and is read at
+    the grid's integers through the edge rule, so the study reads exactly the
+    N_k^2 of each sample's own profile, paired in the same order and
+    arithmetic."""
     grid = Grid(32.0, 4096)
     seed, n = 4, 1001
     rep = moment_study(grid, n, seed, window=window)
@@ -444,6 +446,27 @@ def test_moment_study_builds_one_profile_per_chunk(monkeypatch):
     moment_study(Grid(16.0, 512), 1000, 2, window=(-16.0, 16.0))
     full, rest = divmod(1000, studies.SWEEP_CHUNK)
     assert calls == [studies.SWEEP_CHUNK] * full + [rest] * (rest > 0)
+
+
+def test_moment_sweep_holds_no_profile_field(monkeypatch):
+    """The sweep reads only the fields' norms and hat moments, so the three
+    fields, with the spectra they cache, are freed before the first chunk
+    is drawn."""
+    made = []
+
+    def tracked(*args, **kwargs):
+        f = gaussian_field(*args, **kwargs)
+        made.append(weakref.ref(f))
+        return f
+
+    def sweep(*args):
+        assert len(made) == 3
+        assert all(ref() is None for ref in made), "a field outlives its use"
+        yield from poisson_sweep(*args)
+
+    monkeypatch.setattr(studies, "gaussian_field", tracked)
+    monkeypatch.setattr(studies, "poisson_sweep", sweep)
+    moment_study(Grid(16.0, 512), 1000, 2, window=(-16.0, 16.0))
 
 
 def test_moment_study_peak_memory():
